@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-sanitize lint lint-fast lint-json lint-changed leakcheck leakcheck-scan bench bench-figures campaign campaign-smoke fleet-smoke kernel-equivalence check
+.PHONY: test test-sanitize lint lint-fast lint-json lint-changed leakcheck leakcheck-scan bench bench-figures campaign campaign-smoke fleet-smoke kernel-equivalence perfbench-check check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -106,6 +106,22 @@ kernel-equivalence:
 	$(PYTHON) -m pytest -x -q tests/test_kernel_equivalence.py tests/test_machine_batch.py
 	$(PYTHON) benchmarks/bench_kernel.py --out BENCH_kernel.ci.json --lanes 32 --rounds 2 --pairs 1
 	@rm -f BENCH_kernel.ci.json
+
+# The simulator-speed gate: one untraced and one traced unit of each gated
+# perfbench workload must reproduce perfbench/reference.json (output digest,
+# summed machine counters, layer call counts); the run's last line is its
+# JSON result and must read "correct": true.  Mirrors the CI
+# `perfbench-gate` job.
+PERFBENCH_WORKLOADS := table3 campaign-cold
+perfbench-check:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 0 --seconds 1 --trace 1 \
+			| tee perfbench-check.log; \
+		tail -n 1 perfbench-check.log | $(PYTHON) -c \
+			'import json, sys; sys.exit(json.loads(sys.stdin.read()).get("correct") is not True)' \
+			|| { echo "perfbench-check: $$w is not correct against perfbench/reference.json"; \
+				rm -f perfbench-check.log; exit 1; }; \
+	done; rm -f perfbench-check.log; echo "perfbench-check: all workloads correct"
 
 # The paper-figure pytest benchmarks (the old `make bench`).
 bench-figures:

@@ -1,8 +1,8 @@
 """``repro.cpu.kernel`` — the event-driven simulation core.
 
 The :class:`~repro.cpu.kernel.core.SimKernel` dispatches typed simulation
-events (:mod:`repro.cpu.kernel.events`) through a deterministic FIFO queue
-to pluggable components (:mod:`repro.cpu.kernel.components`); the public
+events (:mod:`repro.cpu.kernel.events`) synchronously, in a deterministic
+order, to pluggable components (:mod:`repro.cpu.kernel.components`); the public
 ``Machine`` is a facade over one kernel lane, and
 :class:`~repro.cpu.kernel.batch.MachineBatch` steps N same-topology trials
 through a single kernel instance with array-shaped per-trial state.  See

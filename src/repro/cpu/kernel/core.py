@@ -1,6 +1,6 @@
-"""The event/queue simulation core.
+"""The event simulation core.
 
-:class:`SimKernel` owns a deterministic FIFO event queue and a set of
+:class:`SimKernel` dispatches typed events synchronously over a set of
 *lanes*.  A lane is one independent simulated machine: its own
 :class:`~repro.cpu.kernel.clock.KernelClock`, its own components, its own
 taps.  ``Machine`` creates a private kernel with one lane;
@@ -9,9 +9,11 @@ kernel and steps trials through it interleaved.
 
 Determinism contract
 --------------------
-The queue is strictly FIFO and handlers are synchronous, so the dispatch
-order is a pure function of the submission order — no wall clock, no
-host-order iteration, no randomness of its own.  All randomness stays in
+``post`` calls the handling component directly, and every handler posts
+at most one event, as its last action.  Dispatch is therefore a call
+chain whose order is a pure function of the submission order — the same
+order a FIFO queue would produce, with no wall clock, no host-order
+iteration and no randomness of its own.  All randomness stays in
 the components' seeded RNG streams, exactly where the pre-kernel
 ``Machine`` kept it; this is what makes same-seed runs byte-identical to
 the committed golden traces (``tests/golden/``).
@@ -21,7 +23,8 @@ Component contract
 Components register one handler per pipeline event type and communicate
 only through:
 
-* ``self.kernel.post(event)`` — hand an event to the next pipeline stage;
+* ``self.kernel.post(event)`` — hand an event to the next pipeline stage
+  (as the handler's last action: the next stage runs inside the call);
 * ``self.kernel.publish(event)`` — synchronously notify the lane's taps
   (tracer, sanitizer) in registration order;
 * ``self.kernel.clock_of(lane)`` — the lane's clock;
@@ -34,7 +37,6 @@ RL019 enforces this mechanically.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable
 
 from repro.cpu.kernel.clock import KernelClock
@@ -85,12 +87,11 @@ class _Lane:
 
 
 class SimKernel:
-    """Deterministic FIFO event kernel over N independent lanes."""
+    """Deterministic, synchronous event kernel over N independent lanes."""
 
     def __init__(self, topology: Topology | None = None) -> None:
         self.topology = topology if topology is not None else single_core()
         self._lanes: list[_Lane] = []
-        self._queue: deque[SimEvent] = deque()
         self._completion: dict[int, SimEvent] = {}
 
     # ------------------------------------------------------------------ #
@@ -140,8 +141,15 @@ class SimKernel:
     # ------------------------------------------------------------------ #
 
     def post(self, event: SimEvent) -> None:
-        """Queue a pipeline event for its lane's handling component."""
-        self._queue.append(event)
+        """Dispatch a pipeline event to its lane's handling component."""
+        lane = self._lanes[event.lane]
+        lane.events += 1
+        handler = lane.handlers.get(type(event))
+        if handler is None:
+            raise LookupError(
+                f"lane {lane.index}: no component handles {type(event).__name__}"
+            )
+        handler(event)
 
     def publish(self, event: SimEvent) -> None:
         """Synchronously fan ``event`` out to its lane's taps."""
@@ -155,31 +163,14 @@ class SimKernel:
         self._completion[event.lane] = event
 
     def submit(self, event: SimEvent) -> SimEvent | None:
-        """Post ``event`` and drain the queue; return the lane's completion.
+        """Run ``event`` through the pipeline; return the lane's completion.
 
         This is the facade entry point: one architectural operation
         (a load, a flush, a switch) goes in, the pipeline runs to idle,
         and the terminal event (if the pipeline produced one) comes back.
         """
-        self._queue.append(event)
-        self.drain()
+        self.post(event)
         return self._completion.pop(event.lane, None)
-
-    def drain(self) -> None:
-        """Dispatch queued events in FIFO order until the queue is idle."""
-        queue = self._queue
-        lanes = self._lanes
-        while queue:
-            event = queue.popleft()
-            lane = lanes[event.lane]
-            lane.events += 1
-            handler = lane.handlers.get(type(event))
-            if handler is None:
-                raise LookupError(
-                    f"lane {lane.index}: no component handles "
-                    f"{type(event).__name__}"
-                )
-            handler(event)
 
     # ------------------------------------------------------------------ #
     # Array-shaped inspection (the vectorization seam)                     #
@@ -210,4 +201,4 @@ class SimKernel:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimKernel(lanes={len(self._lanes)}, queued={len(self._queue)})"
+        return f"SimKernel(lanes={len(self._lanes)})"

@@ -2,9 +2,9 @@
 
 Two families share one base class:
 
-* **Pipeline events** travel through the kernel's FIFO queue
-  (:meth:`SimKernel.post`) from one component to the next; each is
-  handled by exactly one component.  The load path is
+* **Pipeline events** are handed by :meth:`SimKernel.post` from one
+  component straight to the next (a synchronous call); each is handled
+  by exactly one component.  The load path is
   ``LoadIssued → AccessReady → FillDone → ObserveDone`` with the retire
   stage publishing a terminal :class:`LoadRetired`.
 * **Published events** (:meth:`SimKernel.publish`) fan out synchronously
@@ -34,7 +34,7 @@ class SimEvent:
 
 
 # --------------------------------------------------------------------- #
-# Load pipeline (queued)                                                  #
+# Load pipeline (posted)                                                  #
 # --------------------------------------------------------------------- #
 
 

@@ -3,7 +3,7 @@
 The `Machine` keeps its seed-era public API — construction, ``load``,
 ``clflush``, ``context_switch``, spans, metrics — but the work happens in
 :mod:`repro.cpu.kernel`: a load becomes a ``LoadIssued`` event dispatched
-through the kernel's FIFO queue to the MMU, memory, prefetch and retire
+synchronously, stage by stage, to the MMU, memory, prefetch and retire
 components, and the tracer/sanitizer observe the published event stream
 as taps instead of being called inline.
 

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from repro.cpu.machine import Machine
 from repro.memsys.replacement import make_policy
 from repro.params import PAGE_SIZE, IPStrideParams
-from repro.prefetch.base import LoadEvent, Prefetcher, PrefetchRequest, TranslateFn
+from repro.prefetch.base import (
+    LoadEvent,
+    Prefetcher,
+    PrefetchRequest,
+    TranslateFn,
+    free_slot,
+)
 from repro.utils.bits import sign_extend
 
 
@@ -140,9 +146,8 @@ class TaggedIPStridePrefetcher(Prefetcher):
         out.append(PrefetchRequest(paddr=target, source=self.name))
 
     def _allocate(self, key: tuple[int, int], event: LoadEvent) -> None:
-        try:
-            slot = self._slots.index(None)
-        except ValueError:
+        slot = free_slot(self._slots)
+        if slot is None:
             slot = self._victim_slot()
             victim = self._slots[slot]
             assert victim is not None

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 
 from repro.memsys.replacement import make_policy
 from repro.params import PAGE_SIZE, IPStrideParams
+from repro.prefetch.base import free_slot
 from repro.utils.bits import low_bits, sign_extend
 
 
@@ -142,13 +143,12 @@ class AbstractTable:
     def _allocate(self, index: int, paddr: int, taint: frozenset[str]) -> None:
         """Create_New_Entry with the free → confidence-0 → Bit-PLRU victim
         preference of the concrete model."""
-        try:
-            slot = self._slots.index(None)
-        except ValueError:
+        slot = free_slot(self._slots)
+        if slot is None:
             slot = self._victim_slot()
             victim = self._slots[slot]
             if victim is None:
-                raise RuntimeError(f"victim policy chose empty slot {slot}") from None
+                raise RuntimeError(f"victim policy chose empty slot {slot}")
             del self._index_to_slot[victim.index]
         self._slots[slot] = AbstractEntry(index=index, last_paddr=paddr, taint=taint)
         self._index_to_slot[index] = slot

@@ -52,7 +52,12 @@ def same_block(a: int, b: int, block_size: int) -> bool:
 
 
 def set_index(addr: int, line_size: int, n_sets: int) -> int:
-    """Set index of the line containing ``addr`` in a set-associative cache."""
+    """Set index of the line containing ``addr`` in a set-associative cache.
+
+    ``Cache`` computes set, tag and line address by shift and mask;
+    ``tests/test_memsys_addr.py`` pins it to this helper, :func:`cache_tag`
+    and :func:`tag_to_line_base`.
+    """
     return (addr // line_size) % n_sets
 
 

@@ -1,117 +1,109 @@
-"""A single set-associative cache level."""
+"""A single set-associative, true-LRU cache level."""
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.memsys import addr
-from repro.memsys.replacement import ReplacementPolicy, make_policy
 from repro.params import CacheGeometry
 
 
 class CacheSet:
-    """One associative set: ``ways`` lines identified by their tag."""
+    """One associative set: up to ``ways`` resident tags in LRU order.
 
-    __slots__ = ("ways", "tags", "policy", "_tag_to_way")
+    ``lines`` is an insertion-ordered dict used as an ordered set, least
+    recently used first: a hit moves its tag to the end, and a fill into a
+    full set evicts the first tag.
+    """
 
-    def __init__(self, ways: int, policy: ReplacementPolicy) -> None:
+    __slots__ = ("ways", "lines")
+
+    def __init__(self, ways: int) -> None:
         self.ways = ways
-        self.tags: list[int | None] = [None] * ways
-        self.policy = policy
-        self._tag_to_way: dict[int, int] = {}
+        self.lines: dict[int, None] = {}
 
     def lookup(self, tag: int) -> bool:
-        """Return True on hit, refreshing replacement state."""
-        way = self._tag_to_way.get(tag)
-        if way is None:
+        """Return True on hit, making ``tag`` the most recently used."""
+        lines = self.lines
+        if tag not in lines:
             return False
-        self.policy.touch(way)
+        del lines[tag]
+        lines[tag] = None
         return True
 
     def contains(self, tag: int) -> bool:
         """Non-mutating presence check (for inspection/debugging only)."""
-        return tag in self._tag_to_way
+        return tag in self.lines
 
     def insert(self, tag: int) -> int | None:
         """Install ``tag``; return the evicted tag, if any.
 
-        An already-present tag is just refreshed (no eviction).  Invalid ways
-        are preferred over the policy's victim.
+        An already-present tag is just refreshed (no eviction); a fill into
+        a full set evicts the least recently used tag.
         """
-        way = self._tag_to_way.get(tag)
-        if way is not None:
-            self.policy.touch(way)
-            return None
+        lines = self.lines
         evicted: int | None = None
-        try:
-            way = self.tags.index(None)
-        except ValueError:
-            way = self.policy.victim()
-            evicted = self.tags[way]
-            assert evicted is not None
-            del self._tag_to_way[evicted]
-        self.tags[way] = tag
-        self._tag_to_way[tag] = way
-        self.policy.fill(way)
+        if tag in lines:
+            del lines[tag]
+        elif len(lines) >= self.ways:
+            evicted = next(iter(lines))
+            del lines[evicted]
+        lines[tag] = None
         return evicted
 
     def invalidate(self, tag: int) -> bool:
         """Drop ``tag`` if present; return whether it was present."""
-        way = self._tag_to_way.pop(tag, None)
-        if way is None:
+        if tag not in self.lines:
             return False
-        self.tags[way] = None
+        del self.lines[tag]
         return True
 
     def occupancy(self) -> int:
         """Number of valid lines in the set."""
-        return len(self._tag_to_way)
+        return len(self.lines)
 
     def resident_tags(self) -> list[int]:
-        """Tags currently resident (unordered)."""
-        return list(self._tag_to_way)
+        """Tags currently resident, least recently used first."""
+        return list(self.lines)
 
     def clear(self) -> None:
-        self.tags = [None] * self.ways
-        self._tag_to_way.clear()
-        self.policy.reset()
+        self.lines.clear()
 
 
 class Cache:
     """A set-associative cache indexed by physical line address.
 
     The cache stores line *addresses* (byte address of the line start); the
-    tag within a set is the line number divided by the set count.  Data
+    tag within a set is the line number divided by the set count.  Both
+    ``line_size`` and ``sets`` are powers of two (``CacheGeometry`` checks),
+    so set index and tag are a shift and a mask of the address.  Data
     payloads are not modeled — every experiment in the paper observes only
     residency and latency.
     """
 
-    def __init__(self, geometry: CacheGeometry, replacement: str = "lru") -> None:
+    def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
-        self.replacement = replacement
         self.line_size = geometry.line_size
         self.n_sets = geometry.sets
-        self._sets = [
-            CacheSet(geometry.ways, make_policy(replacement, geometry.ways))
-            for _ in range(geometry.sets)
-        ]
+        self._line_shift = geometry.line_size.bit_length() - 1
+        self._set_mask = geometry.sets - 1
+        self._tag_shift = self._line_shift + geometry.sets.bit_length() - 1
+        self._sets = [CacheSet(geometry.ways) for _ in range(geometry.sets)]
         self.hits = 0
         self.misses = 0
 
     def set_index(self, paddr: int) -> int:
         """Set index of the line containing physical address ``paddr``."""
-        return addr.set_index(paddr, self.line_size, self.n_sets)
-
-    def _tag(self, paddr: int) -> int:
-        return addr.cache_tag(paddr, self.line_size, self.n_sets)
+        return (paddr >> self._line_shift) & self._set_mask
 
     def line_address(self, paddr: int) -> int:
         """Byte address of the start of the line containing ``paddr``."""
-        return addr.line_base(paddr, self.line_size)
+        return paddr & -self.line_size
 
     def lookup(self, paddr: int) -> bool:
         """Access the line holding ``paddr``; True on hit (updates LRU/stats)."""
-        hit = self._sets[self.set_index(paddr)].lookup(self._tag(paddr))
+        hit = self._sets[(paddr >> self._line_shift) & self._set_mask].lookup(
+            paddr >> self._tag_shift
+        )
         if hit:
             self.hits += 1
         else:
@@ -120,19 +112,19 @@ class Cache:
 
     def contains(self, paddr: int) -> bool:
         """Non-mutating residency check (no LRU/statistics update)."""
-        return self._sets[self.set_index(paddr)].contains(self._tag(paddr))
+        return self._sets[self.set_index(paddr)].contains(paddr >> self._tag_shift)
 
     def insert(self, paddr: int) -> int | None:
         """Fill the line holding ``paddr``; return evicted line address or None."""
-        index = self.set_index(paddr)
-        evicted_tag = self._sets[index].insert(self._tag(paddr))
+        index = (paddr >> self._line_shift) & self._set_mask
+        evicted_tag = self._sets[index].insert(paddr >> self._tag_shift)
         if evicted_tag is None:
             return None
-        return addr.tag_to_line_base(evicted_tag, index, self.line_size, self.n_sets)
+        return (evicted_tag << self._tag_shift) | (index << self._line_shift)
 
     def invalidate(self, paddr: int) -> bool:
         """Remove the line holding ``paddr``; True if it was resident."""
-        return self._sets[self.set_index(paddr)].invalidate(self._tag(paddr))
+        return self._sets[self.set_index(paddr)].invalidate(paddr >> self._tag_shift)
 
     def flush_all(self) -> None:
         """Invalidate every line (e.g. a WBINVD-style flush)."""
@@ -147,7 +139,7 @@ class Cache:
         """Iterate over the byte addresses of all resident lines."""
         for index, cache_set in enumerate(self._sets):
             for tag in cache_set.resident_tags():
-                yield addr.tag_to_line_base(tag, index, self.line_size, self.n_sets)
+                yield (tag << self._tag_shift) | (index << self._line_shift)
 
     def reset_stats(self) -> None:
         self.hits = 0
@@ -155,6 +147,5 @@ class Cache:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Cache({self.geometry.name}, {self.n_sets} sets x {self.geometry.ways} ways, "
-            f"{self.replacement})"
+            f"Cache({self.geometry.name}, {self.n_sets} sets x {self.geometry.ways} ways, LRU)"
         )

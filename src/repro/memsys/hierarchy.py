@@ -103,7 +103,7 @@ class CacheHierarchy:
             self.l2.insert(paddr)
             self.l1.insert(paddr)
             return AccessResult(paddr, MemoryLevel.LLC, self._latency[MemoryLevel.LLC])
-        self._fill_from_dram(paddr, into_l1=True)
+        self._fill_from_dram(paddr, llc, into_l1=True)
         return AccessResult(paddr, MemoryLevel.DRAM, self._latency[MemoryLevel.DRAM])
 
     def insert_prefetch(self, paddr: int) -> None:
@@ -115,15 +115,14 @@ class CacheHierarchy:
         120-cycle threshold.
         """
         self.prefetch_fills += 1
-        self._fill_from_dram(paddr, into_l1=False)
+        self._fill_from_dram(paddr, self.llc_slice(paddr), into_l1=False)
         self._prefetched_lines.add(self.l1.line_address(paddr))
         if self.tracer.enabled:
             from repro.obs.events import PrefetchFill
 
             self.tracer.emit(PrefetchFill(cycle=self.clock(), paddr=paddr))
 
-    def _fill_from_dram(self, paddr: int, into_l1: bool) -> None:
-        llc = self.llc_slice(paddr)
+    def _fill_from_dram(self, paddr: int, llc: Cache, into_l1: bool) -> None:
         evicted = llc.insert(paddr)
         if evicted is not None:
             # Inclusive LLC: a line leaving the LLC leaves the core caches too.

@@ -1,11 +1,11 @@
 """Replacement policies for fixed-capacity fully/set-associative structures.
 
-A single policy object manages the ways of *one* set.  The same classes back
-both the cache sets and the IP-stride prefetcher's 24-entry history table:
-the paper concludes from Figure 8b that the prefetcher replacement is a
-Bit-PLRU variant (contiguous evictions, cheaper than true LRU), so
-:class:`BitPLRU` is exercised by the reverse-engineering benches, while the
-caches default to :class:`LRUPolicy`.
+A single policy object manages the ways of *one* set.  The classes back the
+IP-stride prefetcher's 24-entry history table: the paper concludes from
+Figure 8b that the prefetcher replacement is a Bit-PLRU variant (contiguous
+evictions, cheaper than true LRU), so :class:`BitPLRU` is exercised by the
+reverse-engineering benches.  The caches are true LRU and keep their order
+in :class:`~repro.memsys.cache.CacheSet` itself.
 
 Protocol
 --------

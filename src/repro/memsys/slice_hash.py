@@ -46,7 +46,7 @@ class SliceHash:
         """Slice id of the line containing physical address ``paddr``."""
         slice_id = 0
         for bit, mask in enumerate(self._masks):
-            slice_id |= (bin(paddr & mask).count("1") & 1) << bit
+            slice_id |= ((paddr & mask).bit_count() & 1) << bit
         return slice_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -45,8 +45,8 @@ class TLB:
             raise ValueError(f"n_entries must be positive, got {n_entries}")
         self._n_entries = n_entries
         self._walk_latency = walk_latency
-        self._entries: dict[tuple[int, int], int] = {}  # (asid, vpage) -> frame
-        self._order: list[tuple[int, int]] = []  # LRU order, oldest first
+        #: (asid, vpage) -> frame, in LRU order (least recently used first).
+        self._entries: dict[tuple[int, int], int] = {}
         self._global_keys: set[tuple[int, int]] = set()
         self.hits = 0
         self.misses = 0
@@ -59,10 +59,9 @@ class TLB:
         """Translate ``vaddr`` in ``space``; walks the page table on a miss."""
         vpage, offset = page_split(vaddr)
         key = (space.asid, vpage)
-        frame = self._entries.get(key)
+        frame = self._entries.pop(key, None)
         if frame is not None:
-            self._order.remove(key)
-            self._order.append(key)
+            self._entries[key] = frame
             self.hits += 1
             return TranslationResult(vaddr, frame * PAGE_SIZE + offset, True, 0)
         self.misses += 1
@@ -86,8 +85,7 @@ class TLB:
             raise KeyError(f"page fault: {vaddr:#x} not mapped in {space.name!r}")
         key = (space.asid, vpage)
         if key in self._entries:
-            self._order.remove(key)
-            self._order.append(key)
+            self._entries[key] = self._entries.pop(key)
         else:
             self._install(key, frame, is_global=space.global_pages)
 
@@ -98,30 +96,24 @@ class TLB:
     def invalidate_page(self, space: AddressSpace, vaddr: int) -> None:
         """INVLPG: drop one translation."""
         key = (space.asid, page_frame(vaddr))
-        if key in self._entries:
-            del self._entries[key]
-            self._order.remove(key)
-            self._global_keys.discard(key)
+        self._entries.pop(key, None)
+        self._global_keys.discard(key)
 
     def flush(self, keep_global: bool = True) -> None:
         """Flush the TLB (CR3 write); global entries optionally survive."""
         if not keep_global:
             self._entries.clear()
-            self._order.clear()
             self._global_keys.clear()
             return
-        for key in list(self._order):
-            if key not in self._global_keys:
-                del self._entries[key]
-                self._order.remove(key)
+        for key in [key for key in self._entries if key not in self._global_keys]:
+            del self._entries[key]
 
     def _install(self, key: tuple[int, int], frame: int, is_global: bool) -> None:
         if len(self._entries) >= self._n_entries:
-            victim = self._order.pop(0)
+            victim = next(iter(self._entries))
             del self._entries[victim]
             self._global_keys.discard(victim)
         self._entries[key] = frame
-        self._order.append(key)
         if is_global:
             self._global_keys.add(key)
 

@@ -48,6 +48,10 @@ class CacheGeometry:
             raise ValueError(f"{self.name}: sets must be a power of two, got {self.sets}")
         if self.ways <= 0:
             raise ValueError(f"{self.name}: ways must be positive, got {self.ways}")
+        if self.line_size <= 0 or self.line_size & (self.line_size - 1):
+            raise ValueError(
+                f"{self.name}: line_size must be a power of two, got {self.line_size}"
+            )
         if self.latency <= 0:
             raise ValueError(f"{self.name}: latency must be positive, got {self.latency}")
 

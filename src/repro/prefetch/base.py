@@ -43,6 +43,18 @@ class PrefetchRequest:
             raise ValueError(f"negative physical address {self.paddr:#x}")
 
 
+def free_slot(slots: list) -> int | None:
+    """Index of the first empty (``None``) slot of a history table, or None.
+
+    Compares by identity: ``slots.index(None)`` would run the dataclass
+    ``__eq__`` of every occupied entry ahead of the free slot.
+    """
+    for slot, entry in enumerate(slots):
+        if entry is None:
+            return slot
+    return None
+
+
 class Prefetcher(ABC):
     """A hardware prefetcher observing the retired-load stream."""
 

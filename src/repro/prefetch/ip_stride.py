@@ -37,7 +37,13 @@ from repro.memsys.replacement import make_policy
 from repro.obs.events import EntrySnapshot, TableTransition
 from repro.obs.tracer import NULL_TRACER, zero_clock
 from repro.params import IPStrideParams
-from repro.prefetch.base import LoadEvent, Prefetcher, PrefetchRequest, TranslateFn
+from repro.prefetch.base import (
+    LoadEvent,
+    Prefetcher,
+    PrefetchRequest,
+    TranslateFn,
+    free_slot,
+)
 from repro.utils.bits import low_bits, sign_extend
 
 
@@ -200,9 +206,8 @@ class IPStridePrefetcher(Prefetcher):
         """
         self.allocations += 1
         traced = self.tracer.enabled
-        try:
-            slot = self._slots.index(None)
-        except ValueError:
+        slot = free_slot(self._slots)
+        if slot is None:
             slot, cause = self._victim_slot()
             victim = self._slots[slot]
             assert victim is not None

@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.memsys import addr
-from repro.params import CACHE_LINE_SIZE, PAGE_SIZE
+from repro.memsys.cache import Cache
+from repro.params import CACHE_LINE_SIZE, PAGE_SIZE, CacheGeometry
 
 # A spread of addresses: zero, line/page boundaries, mid-line, mid-page,
 # large, and a couple of adversarial near-boundary values.
@@ -95,3 +96,29 @@ def test_tag_round_trips_to_line_base(line_size: int, n_sets: int) -> None:
         assert addr.tag_to_line_base(tag, index, line_size, n_sets) == addr.line_base(
             paddr, line_size
         )
+
+
+@pytest.mark.parametrize("line_size,n_sets", [(64, 64), (64, 1024), (32, 16)])
+def test_cache_shift_mask_matches_addr_helpers(line_size: int, n_sets: int) -> None:
+    """``Cache`` derives set, tag and line address by shift and mask; pin
+    each against the division formulas of :mod:`repro.memsys.addr`."""
+    ways = 2
+    geometry = CacheGeometry(name="pin", sets=n_sets, ways=ways, latency=4, line_size=line_size)
+    for paddr in ADDRS:
+        cache = Cache(geometry)
+        index = addr.set_index(paddr, line_size, n_sets)
+        tag = addr.cache_tag(paddr, line_size, n_sets)
+        assert cache.set_index(paddr) == index
+        assert cache.line_address(paddr) == addr.line_base(paddr, line_size)
+        cache.insert(paddr)
+        assert cache._sets[index].resident_tags() == [tag]
+        assert list(cache.resident_lines()) == [
+            addr.tag_to_line_base(tag, index, line_size, n_sets)
+        ]
+        # Fill the set with other tags: the first fill past capacity evicts
+        # ``paddr``'s line, reassembled from (tag, set index).
+        others = [
+            addr.tag_to_line_base(tag + k, index, line_size, n_sets) for k in range(1, ways + 1)
+        ]
+        evicted = [cache.insert(other) for other in others]
+        assert evicted == [None] * (ways - 1) + [addr.line_base(paddr, line_size)]

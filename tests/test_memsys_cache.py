@@ -3,14 +3,15 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memsys.cache import Cache
+from repro.memsys.cache import Cache, CacheSet
+from repro.memsys.replacement import LRUPolicy
 from repro.params import CacheGeometry
 
 SMALL = CacheGeometry(name="test", sets=4, ways=2, latency=4)
 
 
-def make_cache(replacement="lru"):
-    return Cache(SMALL, replacement=replacement)
+def make_cache():
+    return Cache(SMALL)
 
 
 class TestBasics:
@@ -97,7 +98,7 @@ class TestGeometry:
 
 class TestLRUBehaviour:
     def test_lru_eviction_order(self):
-        cache = make_cache("lru")
+        cache = make_cache()
         cache.insert(0)
         cache.insert(4 * 64)
         cache.lookup(0)  # refresh the older line
@@ -139,3 +140,74 @@ def test_property_eviction_only_from_same_set(addresses):
         evicted = cache.insert(addr)
         if evicted is not None:
             assert cache.set_index(evicted) == cache.set_index(addr)
+
+
+class _WayStampSet:
+    """Reference set: tags in numbered ways, victims chosen by LRU stamps.
+
+    This is the way-indexed algorithm ``CacheSet`` replaced: the first
+    invalid way is filled first, and a full set evicts the way whose
+    ``LRUPolicy`` stamp is oldest.
+    """
+
+    def __init__(self, ways: int) -> None:
+        self.tags: list[int | None] = [None] * ways
+        self.policy = LRUPolicy(ways)
+
+    def lookup(self, tag: int) -> bool:
+        if tag not in self.tags:
+            return False
+        self.policy.touch(self.tags.index(tag))
+        return True
+
+    def insert(self, tag: int) -> int | None:
+        if tag in self.tags:
+            self.policy.touch(self.tags.index(tag))
+            return None
+        evicted = None
+        if None in self.tags:
+            way = self.tags.index(None)
+        else:
+            way = self.policy.victim()
+            evicted = self.tags[way]
+        self.tags[way] = tag
+        self.policy.fill(way)
+        return evicted
+
+    def invalidate(self, tag: int) -> bool:
+        if tag not in self.tags:
+            return False
+        self.tags[self.tags.index(tag)] = None
+        return True
+
+    def clear(self) -> None:
+        self.tags = [None] * len(self.tags)
+        self.policy.reset()
+
+    def resident(self) -> set[int]:
+        return {tag for tag in self.tags if tag is not None}
+
+
+# Mostly lookups and fills, so sets fill up and evict between the rarer
+# invalidations and clears.
+_SET_OPS = st.tuples(
+    st.sampled_from(["lookup"] * 4 + ["insert"] * 4 + ["invalidate", "clear"]),
+    st.integers(0, 9),
+)
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=1, max_value=6), st.lists(_SET_OPS, max_size=300))
+def test_property_cache_set_matches_way_stamp_lru(ways, ops):
+    """The dict-ordered set returns the same hit and evicted-tag streams as
+    the way-stamp LRU it replaced, for any lookup/insert/invalidate/clear
+    sequence."""
+    cache_set, reference = CacheSet(ways), _WayStampSet(ways)
+    for op, tag in ops:
+        if op == "clear":
+            cache_set.clear()
+            reference.clear()
+        else:
+            assert getattr(cache_set, op)(tag) == getattr(reference, op)(tag), (op, tag)
+        assert set(cache_set.resident_tags()) == reference.resident()
+        assert cache_set.occupancy() == len(reference.resident())

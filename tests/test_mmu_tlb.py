@@ -1,6 +1,8 @@
 """Tests for the TLB: residency, LRU, ASID tagging, global pages."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mmu.address_space import AddressSpace
 from repro.mmu.page_table import PhysicalMemory
@@ -114,3 +116,100 @@ class TestWarm:
         tlb.translate(space, mapping.base)
         assert tlb.misses == 1
         assert tlb.hits == 1
+
+
+class _ListOrderedTLB:
+    """Reference TLB: an entry map plus a plain list holding LRU order.
+
+    This is the structure the one-dict ``TLB`` replaced: a hit moves its
+    key to the end of the list and a fill into a full TLB evicts the
+    list's first key.
+    """
+
+    def __init__(self, n_entries: int) -> None:
+        self.n_entries = n_entries
+        self.entries: dict[tuple[int, int], int] = {}
+        self.order: list[tuple[int, int]] = []
+        self.global_keys: set[tuple[int, int]] = set()
+
+    def _touch(self, key):
+        self.order.remove(key)
+        self.order.append(key)
+
+    def _install(self, key, frame, is_global):
+        if len(self.entries) >= self.n_entries:
+            victim = self.order.pop(0)
+            del self.entries[victim]
+            self.global_keys.discard(victim)
+        self.entries[key] = frame
+        self.order.append(key)
+        if is_global:
+            self.global_keys.add(key)
+
+    def translate(self, space, vaddr) -> tuple[int, bool]:
+        vpage, offset = divmod(vaddr, PAGE_SIZE)
+        key = (space.asid, vpage)
+        if key in self.entries:
+            self._touch(key)
+            return self.entries[key] * PAGE_SIZE + offset, True
+        frame = space.page_table.frame_of(vpage)
+        self._install(key, frame, space.global_pages)
+        return frame * PAGE_SIZE + offset, False
+
+    def warm(self, space, vaddr) -> None:
+        key = (space.asid, vaddr // PAGE_SIZE)
+        if key in self.entries:
+            self._touch(key)
+        else:
+            self._install(key, space.page_table.frame_of(key[1]), space.global_pages)
+
+    def invalidate_page(self, space, vaddr) -> None:
+        key = (space.asid, vaddr // PAGE_SIZE)
+        if key in self.entries:
+            del self.entries[key]
+            self.order.remove(key)
+            self.global_keys.discard(key)
+
+    def flush(self, keep_global: bool) -> None:
+        for key in list(self.order):
+            if not keep_global or key not in self.global_keys:
+                del self.entries[key]
+                self.order.remove(key)
+                self.global_keys.discard(key)
+
+
+_TLB_OPS = st.tuples(
+    st.sampled_from(["translate", "translate", "warm", "invalidate_page", "flush"]),
+    st.integers(0, 1),  # address space: user (0) or global kernel (1)
+    st.integers(0, 7),  # page within the space's mapping
+    st.booleans(),  # flush: keep global entries
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(_TLB_OPS, max_size=200))
+def test_property_tlb_matches_list_ordered_reference(ops):
+    """The one-dict TLB gives the same translations, hit flags, residency
+    and occupancy as the list-ordered TLB it replaced."""
+    physical = PhysicalMemory(make_rng(0))
+    spaces = [make_space(physical, "user"), make_space(physical, "kernel", global_pages=True)]
+    bases = [space.mmap(8 * PAGE_SIZE).base for space in spaces]
+    tlb, reference = TLB(n_entries=4, walk_latency=120), _ListOrderedTLB(4)
+    for op, which, page, keep_global in ops:
+        space = spaces[which]
+        vaddr = bases[which] + page * PAGE_SIZE + 8
+        if op == "translate":
+            result = tlb.translate(space, vaddr)
+            assert (result.paddr, result.tlb_hit) == reference.translate(space, vaddr)
+        elif op == "flush":
+            tlb.flush(keep_global=keep_global)
+            reference.flush(keep_global)
+        else:
+            getattr(tlb, op)(space, vaddr)
+            getattr(reference, op)(space, vaddr)
+        assert len(tlb) == len(reference.entries)
+        for space, base in zip(spaces, bases):
+            for k in range(8):
+                assert tlb.is_resident(space, base + k * PAGE_SIZE) == (
+                    (space.asid, base // PAGE_SIZE + k) in reference.entries
+                )

@@ -71,6 +71,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             CacheGeometry(name="bad", sets=100, ways=8, latency=4)
 
+    @pytest.mark.parametrize("line_size", [0, -64, 48, 100])
+    def test_non_power_of_two_line_size_rejected(self, line_size):
+        with pytest.raises(ValueError, match="line_size"):
+            CacheGeometry(name="bad", sets=64, ways=8, latency=4, line_size=line_size)
+
     def test_threshold_must_separate_hit_from_miss(self):
         with pytest.raises(ValueError):
             dataclasses.replace(COFFEE_LAKE_I7_9700, llc_hit_threshold=30)

@@ -175,8 +175,9 @@ class TestHierarchyInvariants:
         machine.load(ctx, 0x40_9000, buf.page_line_addr(1, 0))
         l1 = machine.hierarchy.l1
         cache_set = l1._sets[l1.set_index(paddr)]  # repro: noqa[RL005]
-        way = cache_set._tag_to_way[l1._tag(paddr)]  # repro: noqa[RL005]
-        cache_set.tags[way] = None  # repro: noqa[RL005] - deliberate corruption
+        # Overfill the set behind the LRU's back: more lines than ways.
+        for extra in range(cache_set.ways):
+            cache_set.lines[-1 - extra] = None  # repro: noqa[RL005] - deliberate corruption
         expect_violation(machine, "set-bookkeeping")
 
 
@@ -187,12 +188,16 @@ class TestTLBInvariants:
         for extra in range(machine.params.tlb_entries + 4):
             key = (ctx.space.asid, 0x7000_0000 + extra)
             tlb._entries[key] = extra  # repro: noqa[RL005] - deliberate corruption
-            tlb._order.append(key)  # repro: noqa[RL005]
         expect_violation(machine, "capacity")
 
     def test_lru_order_disagrees(self):
+        """A global entry dropped from the LRU map but still marked global."""
         machine, _, _ = trained_machine()
-        machine.tlb._order[0] = (999, 999)  # repro: noqa[RL005] - deliberate corruption
+        kernel_buf = machine.new_buffer(machine.kernel_space, PAGE_SIZE)
+        machine.tlb.warm(machine.kernel_space, kernel_buf.page_line_addr(0, 0))
+        key = (machine.kernel_space.asid, kernel_buf.page_line_addr(0, 0) // PAGE_SIZE)
+        assert key in machine.tlb._global_keys
+        del machine.tlb._entries[key]  # repro: noqa[RL005] - deliberate corruption
         expect_violation(machine, "lru-bookkeeping")
 
     def test_orphaned_global_key(self):
