@@ -46,13 +46,12 @@ leakcheck-scan:
 # the serial-vs-parallel executor comparison -> BENCH_attacks.json, the
 # cold-vs-warm campaign store comparison -> BENCH_campaign.json and the
 # cross-process telemetry contract -> BENCH_telemetry.json and the
-# batched-kernel equivalence/overhead contract -> BENCH_kernel.json and
-# the serving-layer latency contract -> BENCH_serve.json.
+# serving-layer latency contract -> BENCH_serve.json.
 # Pre-existing artifacts are snapshotted to *.baseline and diffed with the
 # regression gate (generous tolerance: same-machine wall clocks still
 # wobble under load; the determinism fields are compared exactly
 # regardless).
-BENCH_ARTIFACTS := BENCH_obs.json BENCH_attacks.json BENCH_campaign.json BENCH_telemetry.json BENCH_kernel.json BENCH_serve.json
+BENCH_ARTIFACTS := BENCH_obs.json BENCH_attacks.json BENCH_campaign.json BENCH_telemetry.json BENCH_serve.json
 
 bench:
 	@for f in $(BENCH_ARTIFACTS); do \
@@ -60,7 +59,6 @@ bench:
 	$(PYTHON) benchmarks/bench_obs.py --out BENCH_obs.json --attacks-out BENCH_attacks.json --jobs 2
 	$(PYTHON) benchmarks/bench_campaign.py --out BENCH_campaign.json --jobs 2
 	$(PYTHON) benchmarks/bench_telemetry.py --out BENCH_telemetry.json --jobs 2
-	$(PYTHON) benchmarks/bench_kernel.py --out BENCH_kernel.json
 	$(PYTHON) benchmarks/bench_serve.py --out BENCH_serve.json --jobs 2
 	@for f in $(BENCH_ARTIFACTS); do \
 		if [ -f $$f.baseline ]; then \
@@ -98,14 +96,10 @@ fleet-smoke:
 	$(PYTHON) benchmarks/bench_serve.py --out BENCH_serve.ci.json --rounds 6 --attacks variant1,covert --readers 20 --requests-per-reader 3
 	@rm -f BENCH_serve.ci.json
 
-# The kernel refactor gate: the differential suite (golden traces +
-# batch-vs-serial equality), then a scaled batched-covert bench whose
-# built-in contracts (identical aggregates, overhead bound) exit non-zero
-# on violation.  Mirrors the CI `kernel-equivalence` job.
+# The kernel refactor gate: the differential suite (golden traces and
+# aggregates).  Mirrors the CI `kernel-equivalence` job.
 kernel-equivalence:
-	$(PYTHON) -m pytest -x -q tests/test_kernel_equivalence.py tests/test_machine_batch.py
-	$(PYTHON) benchmarks/bench_kernel.py --out BENCH_kernel.ci.json --lanes 32 --rounds 2 --pairs 1
-	@rm -f BENCH_kernel.ci.json
+	$(PYTHON) -m pytest -x -q tests/test_kernel_equivalence.py
 
 # The simulator-speed gate: one untraced and one traced unit of each gated
 # perfbench workload must reproduce perfbench/reference.json (output digest,

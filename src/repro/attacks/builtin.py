@@ -31,57 +31,37 @@ def _span_cycles(machine: "Machine") -> dict[str, int]:
 
 
 class _Scenario:
-    """Round-driven scenario base: profiler diffing around each round.
-
-    Scenarios expose the *stepping protocol* consumed by
-    :class:`repro.cpu.kernel.MachineBatch`: :meth:`begin` declares the step
-    count, :meth:`step` runs exactly one step, and :meth:`finish` returns
-    the accumulated trials.  :meth:`run_trials` is the serial composition of
-    the three, so batched (interleaved) and serial execution perform the
-    identical sequence of machine operations per lane.
-    """
+    """Round-driven scenario base: profiler diffing around each round."""
 
     def __init__(self, machine: "Machine", rng: Any) -> None:
         self.machine = machine
         self.rng = rng
         self.notes: dict[str, Any] = {}
-        self._trials: list[Trial] = []
-
-    def begin(self, rounds: int) -> int:
-        """Start a run; returns the number of :meth:`step` calls to make."""
-        self._trials = []
-        return rounds
-
-    def step(self, index: int) -> None:
-        """Run step ``index`` (one round) and record its trial."""
-        cycles_before = self.machine.cycles
-        spans_before = _span_cycles(self.machine)
-        true, inferred, success, payload = self._round(index)
-        spans = {}
-        for name, cycles in _span_cycles(self.machine).items():
-            delta = cycles - spans_before.get(name, 0)
-            if delta:
-                spans[name] = delta
-        self._trials.append(
-            Trial(
-                index=index,
-                true_outcome=true,
-                inferred_outcome=inferred,
-                success=success,
-                cycles=self.machine.cycles - cycles_before,
-                spans=spans,
-                payload=payload,
-            )
-        )
-
-    def finish(self) -> list[Trial]:
-        """Close the run and return the accumulated trials."""
-        return self._trials
 
     def run_trials(self, rounds: int) -> list[Trial]:
-        for index in range(self.begin(rounds)):
-            self.step(index)
-        return self.finish()
+        machine = self.machine
+        trials = []
+        for index in range(rounds):
+            cycles_before = machine.cycles
+            spans_before = _span_cycles(machine)
+            true, inferred, success, payload = self._round(index)
+            spans = {}
+            for name, cycles in _span_cycles(machine).items():
+                delta = cycles - spans_before.get(name, 0)
+                if delta:
+                    spans[name] = delta
+            trials.append(
+                Trial(
+                    index=index,
+                    true_outcome=true,
+                    inferred_outcome=inferred,
+                    success=success,
+                    cycles=machine.cycles - cycles_before,
+                    spans=spans,
+                    payload=payload,
+                )
+            )
+        return trials
 
     def _round(self, index: int) -> tuple[Any, Any, bool, Any]:
         raise NotImplementedError
@@ -216,46 +196,35 @@ class _CovertScenario:
         self.entries = entries
         self.channel = CovertChannel(machine, n_entries=entries)
         self.notes: dict[str, Any] = {}
-        self._trials: list[Trial] = []
-        self._start_cycles = 0
 
-    def begin(self, rounds: int) -> int:
-        """Start a run; each step is one rendezvous of ``entries`` symbols."""
-        # Symbols go out `entries` per rendezvous; round the count up so
-        # the last rendezvous is full.
-        n_symbols = -(-rounds // self.entries) * self.entries
-        self._trials = []
-        self._start_cycles = self.machine.cycles
-        return n_symbols // self.entries
-
-    def step(self, index: int) -> None:
-        """Transmit one rendezvous worth of random symbols."""
+    def run_trials(self, rounds: int) -> list[Trial]:
+        """Transmit random symbols, ``entries`` per rendezvous."""
         from repro.core.covert import MIN_CLEAN_STRIDE
 
-        start = index * self.entries
-        symbols = [
-            int(x) for x in self.rng.integers(MIN_CLEAN_STRIDE, 32, self.entries)
-        ]
-        cycles_before = self.machine.cycles
-        report = self.channel.transmit(symbols)
-        batch_cycles = self.machine.cycles - cycles_before
-        for offset, round_result in enumerate(report.rounds):
-            self._trials.append(
-                Trial(
-                    index=start + offset,
-                    true_outcome=round_result.sent_value,
-                    inferred_outcome=round_result.received_value,
-                    success=round_result.correct,
-                    cycles=batch_cycles // len(report.rounds),
-                    payload=round_result,
+        machine = self.machine
+        start_cycles = machine.cycles
+        trials: list[Trial] = []
+        # Symbols go out `entries` per rendezvous; round the count up so
+        # the last rendezvous is full.
+        for step in range(-(-rounds // self.entries)):
+            symbols = [
+                int(x) for x in self.rng.integers(MIN_CLEAN_STRIDE, 32, self.entries)
+            ]
+            cycles_before = machine.cycles
+            report = self.channel.transmit(symbols)
+            batch_cycles = machine.cycles - cycles_before
+            for offset, round_result in enumerate(report.rounds):
+                trials.append(
+                    Trial(
+                        index=step * self.entries + offset,
+                        true_outcome=round_result.sent_value,
+                        inferred_outcome=round_result.received_value,
+                        success=round_result.correct,
+                        cycles=batch_cycles // len(report.rounds),
+                        payload=round_result,
+                    )
                 )
-            )
-
-    def finish(self) -> list[Trial]:
-        """Close the run: compute the bandwidth/error notes."""
-        trials = self._trials
-        cycles = self.machine.cycles - self._start_cycles
-        seconds = cycles / self.machine.params.frequency_hz
+        seconds = (machine.cycles - start_cycles) / machine.params.frequency_hz
         errors = sum(1 for t in trials if not t.success)
         self.notes = {
             "bandwidth_bps": (5 * len(trials) / seconds) if seconds else 0.0,
@@ -264,11 +233,6 @@ class _CovertScenario:
             "entries": self.entries,
         }
         return trials
-
-    def run_trials(self, rounds: int) -> list[Trial]:
-        for index in range(self.begin(rounds)):
-            self.step(index)
-        return self.finish()
 
 
 @register_attack(

@@ -17,11 +17,6 @@ kinds, different schema versions, different machines — unless
 * **telemetry** (``BENCH_telemetry.json``) — the telemetry-off overhead
   bound must hold, aggregates must stay identical, and the speedup must
   not regress beyond tolerance.
-* **kernel** (``BENCH_kernel.json``) — the batched/serial equivalence
-  flag must hold, the batched per-trial overhead must stay within its
-  recorded bound, deterministic lane totals (simulated cycles, retired
-  loads, quality) must match exactly, and the wall clocks must stay
-  within tolerance.
 * **serve** (``BENCH_serve.json``) — the warm-aggregate latency budget
   (p50 under the recorded ``warm_budget_seconds``), ETag revalidation
   and aggregate completeness must hold, the cache hit ratio must not
@@ -131,12 +126,12 @@ def artifact_kind(doc: dict[str, Any]) -> str | None:
     """Classify a ``BENCH_*.json`` document by its load-bearing keys."""
     if not isinstance(doc, dict):
         return None
-    if doc.get("kind") in ("obs", "attacks", "campaign", "telemetry", "kernel", "serve"):
-        return str(doc["kind"])
+    if "kind" in doc:
+        # An explicit kind this gate no longer knows is unrecognized, not
+        # re-guessed from its keys.
+        return str(doc["kind"]) if doc["kind"] in _CHECKERS else None
     if "warm_aggregate_p50_seconds" in doc:
         return "serve"
-    if "batched_wall_seconds" in doc:
-        return "kernel"
     if "telemetry_overhead_ratio" in doc:
         return "telemetry"
     if "serial_wall_seconds" in doc:
@@ -352,52 +347,6 @@ def _compare_telemetry(
     )
 
 
-def _compare_kernel(
-    findings: list[CompareFinding],
-    baseline: dict[str, Any],
-    current: dict[str, Any],
-    tolerance: float,
-) -> None:
-    for fld in ("serial_wall_seconds", "batched_wall_seconds"):
-        _check_ratio(
-            findings, fld, baseline.get(fld), current.get(fld), tolerance,
-            higher_is_better=False,
-        )
-    _check_ratio(
-        findings,
-        "batch_speedup",
-        baseline.get("batch_speedup"),
-        current.get("batch_speedup"),
-        tolerance,
-        higher_is_better=True,
-    )
-    overhead = current.get("batch_overhead_ratio")
-    bound = current.get("batch_overhead_bound", 0.10)
-    findings.append(
-        CompareFinding(
-            "batch_overhead_ratio",
-            baseline.get("batch_overhead_ratio"),
-            overhead,
-            overhead is not None and float(overhead) <= float(bound),
-            f"batched per-trial overhead must stay <= {bound}",
-        )
-    )
-    _check_flag(
-        findings,
-        "aggregates_identical",
-        baseline.get("aggregates_identical"),
-        current.get("aggregates_identical"),
-    )
-    for fld in (
-        "lanes",
-        "rounds",
-        "simulated_cycles_total",
-        "loads_retired_total",
-        "mean_quality",
-    ):
-        _check_exact(findings, fld, baseline.get(fld), current.get(fld))
-
-
 def _compare_serve(
     findings: list[CompareFinding],
     baseline: dict[str, Any],
@@ -461,7 +410,6 @@ _CHECKERS = {
     "attacks": _compare_attacks,
     "campaign": _compare_campaign,
     "telemetry": _compare_telemetry,
-    "kernel": _compare_kernel,
     "serve": _compare_serve,
 }
 

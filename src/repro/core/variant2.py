@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.channels.flush_reload import FlushReload
 from repro.core.detect import hot_pairs
@@ -65,6 +66,12 @@ class Variant2UserKernel:
         self.flush_reload = FlushReload(
             machine, self.attacker_ctx, self.memory_space, reload_ip
         )
+        # The trigger binds the syscall, not this attack: a bound method of
+        # ``self`` held by the searcher would be a reference cycle keeping
+        # the machine alive until a cyclic GC pass.
+        self._trigger_syscall = partial(
+            self.syscall.invoke, self.attacker_ctx, self.memory_space
+        )
         self.searcher = IPSearcher(
             machine,
             self.attacker_ctx,
@@ -81,9 +88,6 @@ class Variant2UserKernel:
         self._search_result: IPSearchResult | None = None
 
     # ------------------------------------------------------------------ #
-
-    def _trigger_syscall(self, demand_line: int) -> None:
-        self.syscall.invoke(self.attacker_ctx, self.memory_space, demand_line)
 
     def find_target_index(self, demand_line: int = 20) -> IPSearchResult:
         """Run the §5.2 IP search; caches the found index for run_round."""

@@ -1,11 +1,11 @@
-"""The kernel clock: one source of truth for simulated time on a lane.
+"""The kernel clock: one source of truth for a machine's simulated time.
 
 Before the kernel existed, cycle bookkeeping was split three ways: the
 ``Machine`` owned a ``cycles`` counter plus the ``_next_timer`` deadline,
 ``cpu/scheduler.py`` duplicated the ~100 µs tick period as its scheduling
 quantum, and ``seconds()``/span timestamps re-derived wall time from the
 raw counter.  :class:`KernelClock` folds all of that into one object per
-lane: components charge cycles here, the timer-interrupt deadline lives
+machine: components charge cycles here, the timer-interrupt deadline lives
 here, and ``Machine.seconds()``/``machine.span(...)`` read back through
 the same counter.
 """
@@ -21,7 +21,7 @@ DEFAULT_TICK_CYCLES = 300_000
 
 
 class KernelClock:
-    """Cycle counter + timer-tick deadline for one simulation lane."""
+    """Cycle counter + timer-tick deadline for one simulated machine."""
 
     __slots__ = ("cycles", "tick_period", "next_tick")
 

@@ -1,17 +1,16 @@
 """The pluggable components behind the ``Machine`` facade.
 
-Each component owns exactly one subsystem and claims one or two pipeline
-event types; everything a component needs from a sibling arrives either
-as a pipeline event or through an explicitly wired ``*_port`` callable
-(assigned by ``Machine._wire_kernel``).  The bodies are deliberate
-transplants of the pre-kernel ``Machine`` methods — operation order and
-RNG draw order are part of the equivalence contract pinned by
-``tests/test_kernel_equivalence.py``.
+Each component owns exactly one subsystem; everything a component needs
+from a sibling arrives either as a call argument or through an explicitly
+wired ``*_port`` callable (assigned by ``Machine._wire_components``).  The
+bodies are deliberate transplants of the pre-kernel ``Machine`` methods —
+operation order and RNG draw order are part of the equivalence contract
+pinned by ``tests/test_kernel_equivalence.py``.
 
-Load pipeline::
+Load path (a plain call chain driven by ``Machine.load``)::
 
-    LoadIssued ──mmu──> AccessReady ──memsys──> FillDone
-        ──prefetch──> ObserveDone ──retire──> LoadRetired (published)
+    OSComponent.maybe_tick → TLB.translate → CacheHierarchy.access
+        → PrefetchComponent.observe → RetireComponent.retire
 
 The two modelling rules the old ``Machine`` enforced inline live in the
 prefetch component now: a TLB-missing access does not update prefetcher
@@ -26,27 +25,21 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.cpu.context import ThreadContext
-from repro.cpu.kernel.core import Component
+from repro.cpu.kernel.core import Component, SimKernel
 from repro.cpu.kernel.events import (
-    AccessReady,
-    FillDone,
-    FlushIssued,
     LineFlushed,
-    LoadIssued,
     LoadRetired,
-    ObserveDone,
     PrefetchDispatched,
     SwitchCompleted,
-    SwitchIssued,
     TimerFired,
 )
 from repro.cpu.timing import TimingModel
-from repro.memsys.hierarchy import CacheHierarchy, MemoryLevel
+from repro.memsys.hierarchy import AccessResult, CacheHierarchy, MemoryLevel
 from repro.mmu.address_space import AddressSpace
 from repro.mmu.buffer import Buffer
-from repro.mmu.tlb import TLB
+from repro.mmu.tlb import TranslationResult
 from repro.obs.metrics import Histogram
-from repro.params import NoiseParams
+from repro.params import CACHE_LINE_SIZE, NoiseParams
 from repro.prefetch.base import LoadEvent, Prefetcher, PrefetchRequest
 from repro.sanitize.sanitizer import Sanitizer
 
@@ -60,72 +53,32 @@ CONTEXT_SWITCH_CYCLES = 1500
 #: history entry (paper §8.3 assumes C_clear = 24).
 CLEAR_PREFETCHER_CYCLES_PER_ENTRY = 1
 
+#: Bound of the variable kernel IPs the switch and IRQ paths load from.
+_KERNEL_IP_SPACE = 1 << 30
+
 
 def _null_translate(_vaddr: int) -> int | None:
     """Kernel noise loads never offer the prefetcher a usable translation."""
     return None
 
 
-class MMUComponent(Component):
-    """Owns the TLB; first stage of the load pipeline.
-
-    Pokes the OS tick port before translating — the timer IRQ preempts
-    the load, exactly as the old ``Machine.load`` called
-    ``_maybe_timer_interrupt()`` before ``tlb.translate``.
-    """
-
-    name = "mmu"
-
-    #: Wired to ``OSComponent.maybe_tick``.
-    tick_port: Callable[[], None]
-
-    def __init__(self, tlb: TLB) -> None:
-        self.tlb = tlb
-
-    def handlers(self) -> dict[type, Callable[..., None]]:
-        return {LoadIssued: self.on_load}
-
-    def on_load(self, ev: LoadIssued) -> None:
-        self.tick_port()
-        translation = self.tlb.translate(ev.ctx.space, ev.vaddr)
-        self.kernel.post(
-            AccessReady(ev.lane, ev.ctx, ev.ip, ev.vaddr, ev.fenced, translation)
-        )
-
-    def flush(self, keep_global: bool = True) -> None:
-        """CR3-write TLB flush (port target for the OS component)."""
-        self.tlb.flush(keep_global=keep_global)
-
-    def warm(self, space: AddressSpace, vaddr: int) -> None:
-        """Install a translation without memory-system side effects."""
-        self.tlb.warm(space, vaddr)
-
-
 class MemoryComponent(Component):
-    """Owns the cache hierarchy; services demand accesses and flushes."""
+    """Owns the cache hierarchy's flush path and the OS/prefetch ports."""
 
-    name = "memsys"
-
-    def __init__(self, hierarchy: CacheHierarchy) -> None:
+    def __init__(self, kernel: SimKernel, hierarchy: CacheHierarchy) -> None:
+        super().__init__(kernel)
         self.hierarchy = hierarchy
+        self.clock = kernel.clock_of()
 
-    def handlers(self) -> dict[type, Callable[..., None]]:
-        return {AccessReady: self.on_access, FlushIssued: self.on_flush}
-
-    def on_access(self, ev: AccessReady) -> None:
-        result = self.hierarchy.access(ev.translation.paddr)
-        self.kernel.post(
-            FillDone(ev.lane, ev.ctx, ev.ip, ev.vaddr, ev.fenced, ev.translation, result)
-        )
-
-    def on_flush(self, ev: FlushIssued) -> None:
-        paddr = ev.ctx.space.translate(ev.vaddr)
+    def flush(self, ctx: ThreadContext, vaddr: int) -> None:
+        """``clflush``: evict the line everywhere and charge its cost."""
+        paddr = ctx.space.translate(vaddr)
         self.hierarchy.clflush(paddr)
-        self.kernel.clock_of(ev.lane).charge(ev.ctx, CLFLUSH_CYCLES)
-        self.kernel.publish(LineFlushed(ev.lane, ev.ctx, ev.vaddr, paddr))
+        self.clock.charge(ctx, CLFLUSH_CYCLES)
+        self.kernel.publish(LineFlushed, ctx, vaddr, paddr)
 
-    def demand_access(self, paddr: int):
-        """Port target: a demand access outside the load pipeline (OS noise)."""
+    def demand_access(self, paddr: int) -> AccessResult:
+        """Port target: a demand access outside the load path (OS noise)."""
         return self.hierarchy.access(paddr)
 
     def insert_prefetch(self, paddr: int) -> None:
@@ -136,76 +89,71 @@ class MemoryComponent(Component):
 class PrefetchComponent(Component):
     """Owns the IP-stride prefetcher and the noise prefetchers."""
 
-    name = "prefetch"
-
     #: Wired to ``MemoryComponent.insert_prefetch``.
     insert_port: Callable[[int], None]
 
-    def __init__(self, ip_stride: Prefetcher, noise_prefetchers: list[Prefetcher]) -> None:
+    def __init__(
+        self, kernel: SimKernel, ip_stride: Prefetcher, noise_prefetchers: list[Prefetcher]
+    ) -> None:
+        super().__init__(kernel)
         self.ip_stride = ip_stride
         self.noise_prefetchers = noise_prefetchers
 
-    def handlers(self) -> dict[type, Callable[..., None]]:
-        return {FillDone: self.on_fill}
+    def observe(
+        self,
+        ctx: ThreadContext,
+        ip: int,
+        vaddr: int,
+        fenced: bool,
+        translation: TranslationResult,
+        result: AccessResult,
+    ) -> tuple[LoadEvent | None, tuple[PrefetchRequest, ...]]:
+        """Feed one demand load to the prefetchers: ``(event, issued)``.
 
-    def on_fill(self, ev: FillDone) -> None:
-        event: LoadEvent | None = None
-        issued: tuple[PrefetchRequest, ...] = ()
-        if not ev.fenced:
-            event = LoadEvent(
-                ip=ev.ip,
-                vaddr=ev.vaddr,
-                paddr=ev.translation.paddr,
-                hit_level=ev.result.level,
-                asid=ev.ctx.space.asid,
-            )
-            if ev.translation.tlb_hit:
-                issued = self._feed_demand(ev.ctx, event)
-            else:
-                # §4.3: a TLB-missing first touch creates the translation but
-                # leaves the prefetcher state untouched — only the next-page
-                # prefetcher may carry a pattern across.
-                issued = self._feed_tlb_miss(event)
-        self.kernel.post(
-            ObserveDone(
-                ev.lane, ev.ctx, ev.ip, ev.vaddr, ev.fenced,
-                ev.translation, ev.result, event, issued,
-            )
-        )
+        A fenced load is invisible to the prefetchers (``(None, ())``).
+        """
+        if fenced:
+            return None, ()
+        event = LoadEvent(ip, vaddr, translation.paddr, result.level, ctx.space.asid)
+        if translation.tlb_hit:
+            return event, self._feed_demand(ctx, event)
+        # §4.3: a TLB-missing first touch creates the translation but
+        # leaves the prefetcher state untouched — only the next-page
+        # prefetcher may carry a pattern across.
+        return event, self._dispatch_all(self.ip_stride.observe_tlb_miss(event), ip)
 
-    def _dispatch(self, request: PrefetchRequest, trigger_ip: int) -> None:
+    def _dispatch_all(
+        self, requests: list[PrefetchRequest], trigger_ip: int
+    ) -> tuple[PrefetchRequest, ...]:
         # Announce before installing: the trace shows the request leaving
         # the prefetcher, then the fill landing in the hierarchy.
-        self.kernel.publish(PrefetchDispatched(self.lane, request, trigger_ip))
-        self.insert_port(request.paddr)
+        publish, insert = self.kernel.publish, self.insert_port
+        for request in requests:
+            publish(PrefetchDispatched, request, trigger_ip)
+            insert(request.paddr)
+        return tuple(requests)
 
     def _feed_demand(
         self, ctx: ThreadContext, event: LoadEvent
     ) -> tuple[PrefetchRequest, ...]:
+        space = ctx.space
+
         def translate(vaddr: int) -> int | None:
             try:
-                return ctx.space.translate(vaddr)
+                return space.translate(vaddr)
             except KeyError:
                 return None
 
-        issued: list[PrefetchRequest] = []
-        for prefetcher in (self.ip_stride, *self.noise_prefetchers):
-            for request in prefetcher.observe(event, translate):
-                self._dispatch(request, event.ip)
-                issued.append(request)
-        return tuple(issued)
-
-    def _feed_tlb_miss(self, event: LoadEvent) -> tuple[PrefetchRequest, ...]:
-        issued: list[PrefetchRequest] = []
-        for request in self.ip_stride.observe_tlb_miss(event):
-            self._dispatch(request, event.ip)
-            issued.append(request)
-        return tuple(issued)
+        issued = self._dispatch_all(self.ip_stride.observe(event, translate), event.ip)
+        for prefetcher in self.noise_prefetchers:
+            requests = prefetcher.observe(event, translate)
+            if requests:
+                issued += self._dispatch_all(requests, event.ip)
+        return issued
 
     def feed_kernel(self, event: LoadEvent) -> None:
         """Port target: kernel noise loads feed only the IP-stride table."""
-        for request in self.ip_stride.observe(event, _null_translate):
-            self._dispatch(request, event.ip)
+        self._dispatch_all(self.ip_stride.observe(event, _null_translate), event.ip)
 
     def clear(self) -> None:
         """Port target: the §8.3 clear-ip-prefetcher instruction."""
@@ -215,25 +163,31 @@ class PrefetchComponent(Component):
 class RetireComponent(Component):
     """Prices the load, charges its context, and publishes retirement."""
 
-    name = "retire"
-
-    def __init__(self, timing: TimingModel, histogram: Histogram) -> None:
+    def __init__(self, kernel: SimKernel, timing: TimingModel, histogram: Histogram) -> None:
+        super().__init__(kernel)
         self.timing = timing
         self.histogram = histogram
+        self.clock = kernel.clock_of()
 
-    def handlers(self) -> dict[type, Callable[..., None]]:
-        return {ObserveDone: self.on_observe}
-
-    def on_observe(self, ev: ObserveDone) -> None:
-        latency = self.timing.measured(ev.translation.latency + ev.result.latency)
-        self.kernel.clock_of(ev.lane).charge(ev.ctx, latency)
+    def retire(
+        self,
+        ctx: ThreadContext,
+        ip: int,
+        vaddr: int,
+        fenced: bool,
+        translation: TranslationResult,
+        result: AccessResult,
+        event: LoadEvent | None,
+        issued: tuple[PrefetchRequest, ...],
+    ) -> int:
+        """Price the load, charge the clock, feed the histogram; the latency."""
+        latency = self.timing.measured(translation.latency + result.latency)
+        self.clock.charge(ctx, latency)
         self.histogram.observe(latency)
-        done = LoadRetired(
-            ev.lane, ev.ctx, ev.ip, ev.vaddr, ev.fenced,
-            ev.translation, ev.result, ev.event, ev.issued, latency,
+        self.kernel.publish(
+            LoadRetired, ctx, ip, vaddr, fenced, translation, result, event, issued, latency
         )
-        self.kernel.publish(done)
-        self.kernel.complete(done)
+        return latency
 
 
 class OSComponent(Component):
@@ -243,9 +197,13 @@ class OSComponent(Component):
     context, the switch/IRQ counters, the kernel's switch-noise working
     set and the fixed switch-path IPs (chosen once per boot), plus the
     §8.3 flush-on-switch mitigation flag.
-    """
 
-    name = "os"
+    Every noise batch draws its line indexes and IPs with one
+    ``os_rng.integers(..., size=k)`` call.  NumPy's bounded ``int64``
+    draws are unbuffered, so a batch of ``k`` equals ``k`` scalar draws
+    and leaves the generator in the same state
+    (``tests/test_cpu_machine.py`` pins this).
+    """
 
     #: Wired to ``MemoryComponent.demand_access``.
     access_port: Callable[[int], object]
@@ -253,11 +211,12 @@ class OSComponent(Component):
     feed_port: Callable[[LoadEvent], None]
     #: Wired to ``PrefetchComponent.clear``.
     clear_port: Callable[[], None]
-    #: Wired to ``MMUComponent.flush``.
+    #: Wired to ``TLB.flush``.
     flush_tlb_port: Callable[..., None]
 
     def __init__(
         self,
+        kernel: SimKernel,
         noise: NoiseParams,
         os_rng: np.random.Generator,
         kernel_space: AddressSpace,
@@ -265,6 +224,8 @@ class OSComponent(Component):
         switch_path_ips: list[int],
         clear_cost_cycles: int,
     ) -> None:
+        super().__init__(kernel)
+        self.clock = kernel.clock_of()
         self.noise = noise
         self.os_rng = os_rng
         self.kernel_space = kernel_space
@@ -277,23 +238,19 @@ class OSComponent(Component):
         #: §8.3 mitigation: execute clear-ip-prefetcher on every domain switch.
         self.flush_prefetcher_on_switch = False
 
-    def handlers(self) -> dict[type, Callable[..., None]]:
-        return {SwitchIssued: self.on_switch}
-
-    def on_switch(self, ev: SwitchIssued) -> None:
-        """Switch the logical core to ``ev.to_ctx``.
+    def switch(self, to_ctx: ThreadContext) -> None:
+        """Switch the logical core to ``to_ctx``.
 
         Same-address-space switches (threads of one process) keep the TLB;
         cross-space switches flush non-global entries.  Both kinds run the
         kernel's switch path, whose loads pollute the caches and the
         prefetcher table.
         """
-        to_ctx = ev.to_ctx
         from_ctx = self.current
         if from_ctx is to_ctx:
             return
         self.context_switches += 1
-        self.kernel.clock_of(self.lane).advance(CONTEXT_SWITCH_CYCLES)
+        self.clock.advance(CONTEXT_SWITCH_CYCLES)
         cross_space = from_ctx is not None and not from_ctx.same_address_space(to_ctx)
         if cross_space:
             self.flush_tlb_port(keep_global=True)
@@ -306,12 +263,10 @@ class OSComponent(Component):
             self.run_prefetcher_clear()
         self.current = to_ctx
         self.kernel.publish(
-            SwitchCompleted(
-                self.lane,
-                None if from_ctx is None else from_ctx.name,
-                to_ctx.name,
-                cross_space,
-            )
+            SwitchCompleted,
+            None if from_ctx is None else from_ctx.name,
+            to_ctx.name,
+            cross_space,
         )
 
     def maybe_tick(self) -> None:
@@ -325,26 +280,23 @@ class OSComponent(Component):
         would have clobbered are retrained before the next observation
         anyway.
         """
-        clock = self.kernel.clock_of(self.lane)
+        clock = self.clock
         if self.noise.switch_fixed_ips == 0:
             # Quiet machines (reverse-engineering benches) take no IRQs.
             clock.rearm_tick()
             return
-        if not clock.tick_due():
+        if clock.cycles < clock.next_tick:
             return
         self.timer_interrupts += 1
         clock.rearm_tick()
-        n_lines = self.switch_noise.n_lines
-        for _ in range(8):
-            line = int(self.os_rng.integers(0, n_lines))
-            self.access_port(self.kernel_space.translate(self.switch_noise.line_addr(line)))
+        self._touch_noise_lines(8)
         # Which IRQ handler ran is data-dependent: one variable-IP load.
-        self._kernel_prefetcher_noise([int(self.os_rng.integers(0, 1 << 30))])
-        self.kernel.publish(TimerFired(self.lane, clock.cycles))
+        self._kernel_prefetcher_noise(self.os_rng.integers(0, _KERNEL_IP_SPACE, size=1).tolist())
+        self.kernel.publish(TimerFired, clock.cycles)
 
     def run_prefetcher_clear(self) -> None:
         """Execute the proposed privileged clear-ip-prefetcher instruction."""
-        self.kernel.clock_of(self.lane).advance(self.clear_cost_cycles)
+        self.clock.advance(self.clear_cost_cycles)
         self.clear_port()
 
     def _inject_switch_noise(self, variable_ips: int) -> None:
@@ -356,34 +308,34 @@ class OSComponent(Component):
         ``variable_ips`` loads at effectively random IPs, each with a 1/256
         chance of aliasing a trained entry.
         """
-        n_lines = self.switch_noise.n_lines
-        for _ in range(self.noise.switch_cache_lines):
-            line = int(self.os_rng.integers(0, n_lines))
-            self.access_port(self.kernel_space.translate(self.switch_noise.line_addr(line)))
+        self._touch_noise_lines(self.noise.switch_cache_lines)
         # Switch-path code loops over task/mm state, so each fixed IP issues
         # several loads per switch: a re-allocated fixed entry immediately
         # reaches confidence 1 and is no longer a preferred eviction victim.
         # (This is what makes a full-table covert channel lose ~6 of its 24
         # trained entries per switch — the paper's >25 % error rate, §7.2.)
-        ips = [ip for ip in self.switch_path_ips for _ in range(2)] + [
-            int(self.os_rng.integers(0, 1 << 30)) for _ in range(variable_ips)
-        ]
+        ips = [ip for ip in self.switch_path_ips for _ in range(2)]
+        ips += self.os_rng.integers(0, _KERNEL_IP_SPACE, size=variable_ips).tolist()
         self._kernel_prefetcher_noise(ips)
+
+    def _noise_lines(self, count: int) -> list[int]:
+        """Virtual addresses of ``count`` random switch-noise lines."""
+        base = self.switch_noise.base
+        lines = self.os_rng.integers(0, self.switch_noise.n_lines, size=count).tolist()
+        return [base + line * CACHE_LINE_SIZE for line in lines]
+
+    def _touch_noise_lines(self, count: int) -> None:
+        """Demand-access ``count`` random kernel lines (cache pollution)."""
+        translate, access = self.kernel_space.translate, self.access_port
+        for vaddr in self._noise_lines(count):
+            access(translate(vaddr))
 
     def _kernel_prefetcher_noise(self, ips: list[int]) -> None:
         """Kernel loads (random data lines) at the given IPs."""
-        n_lines = self.switch_noise.n_lines
-        for ip in ips:
-            line = int(self.os_rng.integers(0, n_lines))
-            vaddr = self.switch_noise.line_addr(line)
-            event = LoadEvent(
-                ip=ip,
-                vaddr=vaddr,
-                paddr=self.kernel_space.translate(vaddr),
-                hit_level=MemoryLevel.LLC,
-                asid=self.kernel_space.asid,
-            )
-            self.feed_port(event)
+        space, feed = self.kernel_space, self.feed_port
+        asid = space.asid
+        for ip, vaddr in zip(ips, self._noise_lines(len(ips))):
+            feed(LoadEvent(ip, vaddr, space.translate(vaddr), MemoryLevel.LLC, asid))
 
 
 # --------------------------------------------------------------------- #

@@ -1,15 +1,15 @@
-"""The simulated machine: a facade over one event-kernel lane.
+"""The simulated machine: a facade over the simulation kernel's components.
 
 The `Machine` keeps its seed-era public API — construction, ``load``,
 ``clflush``, ``context_switch``, spans, metrics — but the work happens in
-:mod:`repro.cpu.kernel`: a load becomes a ``LoadIssued`` event dispatched
-synchronously, stage by stage, to the MMU, memory, prefetch and retire
-components, and the tracer/sanitizer observe the published event stream
-as taps instead of being called inline.
+the components of :mod:`repro.cpu.kernel`.  A load is a plain call chain:
 
-``load(ctx, ip, vaddr)`` → ``LoadIssued`` → TLB translate →
-cache-hierarchy access → prefetcher observation → prefetch fills →
-``LoadRetired`` with the noisy measured latency.
+``load(ctx, ip, vaddr)`` → OS timer tick → TLB translate → cache-hierarchy
+access → prefetcher observation (and prefetch fills) → retire, which
+prices the noisy measured latency and charges the clock.
+
+The tracer and the sanitizer observe the published event stream as taps;
+a machine with neither builds no published event at all.
 
 Two modelling rules from the paper are enforced in the prefetch component
 rather than in the prefetcher itself:
@@ -29,13 +29,11 @@ from __future__ import annotations
 
 from repro.cpu.code import CodeRegion
 from repro.cpu.context import ThreadContext
-from repro.cpu.kernel.clock import KernelClock
 from repro.cpu.kernel.components import (
     CLEAR_PREFETCHER_CYCLES_PER_ENTRY,
     CLFLUSH_CYCLES,
     CONTEXT_SWITCH_CYCLES,
     MemoryComponent,
-    MMUComponent,
     OSComponent,
     PrefetchComponent,
     RetireComponent,
@@ -43,7 +41,6 @@ from repro.cpu.kernel.components import (
     TracerTap,
 )
 from repro.cpu.kernel.core import SimKernel
-from repro.cpu.kernel.events import FlushIssued, LoadIssued, SwitchIssued
 from repro.cpu.timing import TimingModel
 from repro.memsys.addr import line_index
 from repro.memsys.hierarchy import CacheHierarchy, MemoryLevel
@@ -54,7 +51,7 @@ from repro.mmu.page_table import PhysicalMemory
 from repro.mmu.tlb import TLB
 from repro.obs.metrics import Histogram, MetricsRegistry, latency_bounds, snapshot
 from repro.obs.profiler import Span, SpanProfile
-from repro.obs.tracer import Tracer, resolve_tracer
+from repro.obs.tracer import NULL_TRACER, Tracer, resolve_tracer
 from repro.params import PAGE_SIZE, DEFAULT_MACHINE, MachineParams
 from repro.prefetch.adjacent import AdjacentPrefetcher
 from repro.prefetch.base import Prefetcher
@@ -69,17 +66,16 @@ __all__ = [
     "CLFLUSH_CYCLES",
     "CONTEXT_SWITCH_CYCLES",
     "Machine",
+    "SWITCH_NOISE_PAGES",
     "line_of",
 ]
 
+#: Pages of kernel memory the switch and timer-IRQ paths touch (4 MiB).
+SWITCH_NOISE_PAGES = 1024
+
 
 class Machine:
-    """A simulated Intel machine (one logical core's view).
-
-    Pass ``kernel=`` to join an existing :class:`SimKernel` as a new lane
-    (how :class:`~repro.cpu.kernel.batch.MachineBatch` steps many trials
-    through one kernel); by default each machine owns a private kernel.
-    """
+    """A simulated Intel machine (one logical core's view)."""
 
     def __init__(
         self,
@@ -87,7 +83,6 @@ class Machine:
         seed: int | None = None,
         sanitize: bool | None = None,
         trace: Tracer | bool | None = None,
-        kernel: SimKernel | None = None,
     ) -> None:
         self.params = params
         self.rng = make_rng(seed)
@@ -109,13 +104,12 @@ class Machine:
         if params.enable_streamer_prefetcher:
             self.noise_prefetchers.append(StreamerPrefetcher())
 
-        #: The event kernel and this machine's lane in it.  The lane's
-        #: clock is the single source of simulated time: ``cycles``,
-        #: ``seconds()``, the timer-interrupt deadline and span timestamps
-        #: all read through it.
-        self.kernel = kernel if kernel is not None else SimKernel()
-        self.lane = self.kernel.add_lane(KernelClock())
-        self._kernel_clock = self.kernel.clock_of(self.lane)
+        #: The simulation kernel: its clock is the single source of
+        #: simulated time (``cycles``, ``seconds()``, the timer-interrupt
+        #: deadline and span timestamps all read through it), and its taps
+        #: observe the published event stream.
+        self.kernel = SimKernel()
+        self._kernel_clock = self.kernel.clock_of()
 
         #: Structured tracing (repro.obs); NULL_TRACER when off, so every
         #: hook site pays a single ``enabled`` attribute check.
@@ -147,7 +141,9 @@ class Machine:
         # page would poison the same monitored cache sets on every round.  4 MiB
         # approximates a kernel steady-state working set.
         self._switch_noise = Buffer(
-            self.kernel_space.mmap(1024 * PAGE_SIZE, locked=True, name="switch-noise")
+            self.kernel_space.mmap(
+                SWITCH_NOISE_PAGES * PAGE_SIZE, locked=True, name="switch-noise"
+            )
         )
         # The context-switch path is fixed code: its load IPs are chosen
         # once per boot and hit the same prefetcher indexes every switch.
@@ -155,59 +151,53 @@ class Machine:
             int(self._os_rng.integers(0, 1 << 30))
             for _ in range(params.noise.switch_fixed_ips)
         ]
-        self._wire_kernel(ip_stride)
+        self._wire_components(ip_stride)
 
         #: Runtime invariant auditing (repro.sanitize); ``None`` when off, so
         #: the published-event tap is simply never registered.  Built after
-        #: the kernel is wired — the checkers read the components' state
-        #: through the facade properties — and tapped after the tracer,
-        #: preserving emit-then-audit order.
+        #: the components are wired — the checkers read the components'
+        #: state through the facade properties — and tapped after the
+        #: tracer, preserving emit-then-audit order.
         self.sanitizer: Sanitizer | None = (
             Sanitizer(self) if sanitize_enabled(sanitize) else None
         )
         if self.sanitizer is not None:
             self.sanitizer.register_space(self.kernel_space)
-            self.kernel.add_tap(self.lane, SanitizerTap(self.sanitizer))
+            self.kernel.add_tap(SanitizerTap(self.sanitizer))
 
     # ------------------------------------------------------------------ #
     # Kernel assembly                                                     #
     # ------------------------------------------------------------------ #
 
-    def _wire_kernel(self, ip_stride: IPStridePrefetcher) -> None:
-        """Register this lane's components and wire their ports and taps."""
-        kernel, lane = self.kernel, self.lane
-        self._mmu = kernel.register(lane, MMUComponent(self.tlb))
-        self._memsys = kernel.register(lane, MemoryComponent(self.hierarchy))
-        self._prefetch = kernel.register(
-            lane, PrefetchComponent(ip_stride, self.noise_prefetchers)
-        )
-        self._retire = kernel.register(
-            lane, RetireComponent(self._timing, self.latency_histogram)
-        )
-        self._os = kernel.register(
-            lane,
-            OSComponent(
-                noise=self.params.noise,
-                os_rng=self._os_rng,
-                kernel_space=self.kernel_space,
-                switch_noise=self._switch_noise,
-                switch_path_ips=self._switch_path_ips,
-                clear_cost_cycles=(
-                    CLEAR_PREFETCHER_CYCLES_PER_ENTRY * self.params.prefetcher.n_entries
-                ),
+    def _wire_components(self, ip_stride: IPStridePrefetcher) -> None:
+        """Build the components, wire their ports, and tap the tracer."""
+        kernel = self.kernel
+        self._memsys = MemoryComponent(kernel, self.hierarchy)
+        self._prefetch = PrefetchComponent(kernel, ip_stride, self.noise_prefetchers)
+        self._retire = RetireComponent(kernel, self._timing, self.latency_histogram)
+        self._os = OSComponent(
+            kernel,
+            noise=self.params.noise,
+            os_rng=self._os_rng,
+            kernel_space=self.kernel_space,
+            switch_noise=self._switch_noise,
+            switch_path_ips=self._switch_path_ips,
+            clear_cost_cycles=(
+                CLEAR_PREFETCHER_CYCLES_PER_ENTRY * self.params.prefetcher.n_entries
             ),
         )
         # Ports: the narrow buses components are allowed to talk over
-        # (flow lint rule RL019 flags anything wider).
-        self._mmu.tick_port = self._os.maybe_tick
+        # (flow lint rule RL019 flags anything wider).  Every port points
+        # down the pipeline, so a dropped machine holds no reference cycle.
         self._prefetch.insert_port = self._memsys.insert_prefetch
         self._os.access_port = self._memsys.demand_access
         self._os.feed_port = self._prefetch.feed_kernel
         self._os.clear_port = self._prefetch.clear
-        self._os.flush_tlb_port = self._mmu.flush
-        # Taps: the tracer taps here; the sanitizer (built after wiring)
+        self._os.flush_tlb_port = self.tlb.flush
+        # Taps: a real tracer taps here; the sanitizer (built after wiring)
         # taps second in ``__init__``, preserving emit-then-audit order.
-        kernel.add_tap(lane, TracerTap(self.tracer, self._kernel_clock))
+        if self.tracer is not NULL_TRACER:
+            kernel.add_tap(TracerTap(self.tracer, self._kernel_clock))
 
     @property
     def ip_stride(self) -> IPStridePrefetcher:
@@ -224,12 +214,12 @@ class Machine:
         self._prefetch.ip_stride = prefetcher
 
     # ------------------------------------------------------------------ #
-    # Clock and OS state (delegated to the kernel lane)                    #
+    # Clock and OS state (delegated to the kernel and the OS component)                    #
     # ------------------------------------------------------------------ #
 
     @property
     def cycles(self) -> int:
-        """Simulated cycle count (the lane clock is the source of truth)."""
+        """Simulated cycle count (the kernel clock is the source of truth)."""
         return self._kernel_clock.cycles
 
     @cycles.setter
@@ -272,7 +262,7 @@ class Machine:
 
     @property
     def timer_period_cycles(self) -> int:
-        """Timer-interrupt period (~100 µs tick) on the lane clock."""
+        """Timer-interrupt period (~100 µs tick) on the kernel clock."""
         return self._kernel_clock.tick_period
 
     @timer_period_cycles.setter
@@ -342,14 +332,15 @@ class Machine:
         Prime+Probe implementations traverse eviction sets as linked lists
         for the same reason.
         """
-        done = self.kernel.submit(LoadIssued(self.lane, ctx, ip, vaddr, fenced))
-        if done is None:
-            raise RuntimeError("load pipeline retired no event")
-        return done.latency
+        self._os.maybe_tick()
+        translation = self.tlb.translate(ctx.space, vaddr)
+        result = self.hierarchy.access(translation.paddr)
+        event, issued = self._prefetch.observe(ctx, ip, vaddr, fenced, translation, result)
+        return self._retire.retire(ctx, ip, vaddr, fenced, translation, result, event, issued)
 
     def clflush(self, ctx: ThreadContext, vaddr: int) -> None:
         """Flush the line holding ``vaddr`` from the whole hierarchy."""
-        self.kernel.submit(FlushIssued(self.lane, ctx, vaddr))
+        self._memsys.flush(ctx, vaddr)
 
     def flush_buffer(self, ctx: ThreadContext, buffer: Buffer) -> None:
         """clflush every line of ``buffer`` (the Flush stage of F+R)."""
@@ -358,7 +349,7 @@ class Machine:
 
     def warm_tlb(self, ctx: ThreadContext, vaddr: int) -> None:
         """Install a translation without memory-system side effects."""
-        self._mmu.warm(ctx.space, vaddr)
+        self.tlb.warm(ctx.space, vaddr)
 
     def warm_buffer_tlb(self, ctx: ThreadContext, buffer: Buffer) -> None:
         """TLB-warm every page of ``buffer`` (the paper's threat-model state)."""
@@ -381,7 +372,7 @@ class Machine:
 
     def context_switch(self, to_ctx: ThreadContext) -> None:
         """Switch the logical core to ``to_ctx`` (see ``OSComponent``)."""
-        self.kernel.submit(SwitchIssued(self.lane, to_ctx))
+        self._os.switch(to_ctx)
 
     def run_prefetcher_clear(self) -> None:
         """Execute the proposed privileged clear-ip-prefetcher instruction."""

@@ -22,11 +22,12 @@ class TimingModel:
 
     def measured(self, ideal_latency: int) -> int:
         """Return a noisy measurement of ``ideal_latency`` (cycles, >= 1)."""
+        noise, rng = self.noise, self._rng
         latency = float(ideal_latency)
-        if self.noise.timing_sigma > 0.0:
-            latency += self._rng.normal(0.0, self.noise.timing_sigma)
-        if self.noise.timing_spike_prob > 0.0 and (
-            self._rng.random() < self.noise.timing_spike_prob
-        ):
-            latency += self.noise.timing_spike_cycles
+        sigma = noise.timing_sigma
+        if sigma > 0.0:
+            latency += rng.normal(0.0, sigma)
+        spike_prob = noise.timing_spike_prob
+        if spike_prob > 0.0 and rng.random() < spike_prob:
+            latency += noise.timing_spike_cycles
         return max(1, round(latency))

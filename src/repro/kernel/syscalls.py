@@ -17,8 +17,10 @@ code.  Each syscall models:
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
+from types import MethodType
 
 from repro.cpu.context import ThreadContext
 from repro.cpu.machine import Machine
@@ -49,7 +51,7 @@ class Kernel:
         self.machine = machine
         self.ctx = machine.kernel_context("kernel")
         self.text = machine.code_region(KERNEL_TEXT_BASE, name="kernel-text", kernel=True)
-        self._table: dict[int, Callable[..., object]] = {}
+        self._table: dict[int, Callable[..., object] | weakref.WeakMethod] = {}
         self._next_number = 333  # the artifact's "available system call number"
         self._entry_path = machine.new_buffer(
             machine.kernel_space, 16 * PAGE_SIZE, locked=True, name="kernel-entry-data"
@@ -63,8 +65,22 @@ class Kernel:
             self._next_number += 1
         if number in self._table:
             raise ValueError(f"syscall number {number} already registered")
-        self._table[number] = handler
+        # Syscall objects hold their kernel, so a bound-method handler is
+        # held weakly: a strong entry would close a reference cycle that
+        # keeps the whole machine alive until a cyclic GC pass.  Whoever
+        # owns the syscall object keeps its handler alive.
+        self._table[number] = (
+            weakref.WeakMethod(handler) if isinstance(handler, MethodType) else handler
+        )
         return number
+
+    def _handler(self, number: int) -> Callable[..., object]:
+        handler = self._table.get(number)
+        if isinstance(handler, weakref.WeakMethod):
+            handler = handler()
+        if handler is None:
+            raise KeyError(f"ENOSYS: no syscall {number}")
+        return handler
 
     def syscall(self, user_ctx: ThreadContext, number: int, *args: object) -> object:
         """Invoke syscall ``number`` from ``user_ctx``.
@@ -72,8 +88,7 @@ class Kernel:
         Performs the full domain round trip: user → kernel, handler, kernel
         → user, charging switch costs and injecting entry/exit noise.
         """
-        if number not in self._table:
-            raise KeyError(f"ENOSYS: no syscall {number}")
+        handler = self._handler(number)
         record = SyscallRecord(
             number=number, caller=user_ctx.name, cycles_before=self.machine.cycles
         )
@@ -86,7 +101,7 @@ class Kernel:
         variable = self.machine.params.noise.kernel_variable_ips
         self._run_kernel_path(variable // 2)
         try:
-            result = self._table[number](*args)
+            result = handler(*args)
         finally:
             self._run_kernel_path(variable - variable // 2)
             self.machine.context_switch(user_ctx)

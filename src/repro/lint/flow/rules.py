@@ -29,10 +29,10 @@ skipped when the flow pass is off.
   trace consumers, an unclosed sink drops buffered events.
 * **RL019 (kernel component isolation)** — classes deriving from the
   simulation kernel's ``Component`` base may only reach kernel state
-  through the port/bus API (``kernel.post``/``publish``/``complete``/
-  ``clock_of`` and wired ``*_port`` callables); ``self.machine``
-  back-references, ``component_of()`` sibling grabs and private-kernel
-  pokes re-create the hidden coupling the kernel refactor removed.
+  through the bus API (``kernel.publish``/``clock_of`` and wired
+  ``*_port`` callables); ``self.machine`` back-references,
+  ``component_of()`` sibling grabs and private-kernel pokes re-create
+  the hidden coupling the kernel refactor removed.
 """
 
 from __future__ import annotations
@@ -641,7 +641,7 @@ class ForkCaptureRule(FlowRule):
 # ---------------------------------------------------------------------- #
 
 #: The SimKernel surface a component may legitimately touch.
-_KERNEL_BUS_API = frozenset({"post", "publish", "complete", "clock_of", "topology"})
+_KERNEL_BUS_API = frozenset({"publish", "clock_of"})
 
 
 def _component_classes(tree: ast.Module) -> Iterator[ast.ClassDef]:
@@ -659,20 +659,18 @@ class KernelComponentIsolationRule(FlowRule):
     """RL019 — a kernel component bypasses the port/bus API.
 
     The simulation kernel's component contract (``repro.cpu.kernel.core``)
-    is that components interact only through ``kernel.post`` /
-    ``kernel.publish`` / ``kernel.complete`` / ``kernel.clock_of`` and the
-    ``*_port`` callables the Machine facade wires at assembly time.  A
-    component that holds a ``self.machine`` back-reference, pulls a
-    sibling out with ``component_of()``, or pokes at the kernel's private
-    queue/lane state re-creates exactly the hidden coupling the kernel
-    refactor removed: the equivalence gate can no longer reason about a
-    lane from its event log alone, and batched lanes stop being
-    independent.
+    is that components interact only through ``kernel.publish`` /
+    ``kernel.clock_of`` and the ``*_port`` callables the Machine facade
+    wires at assembly time.  A component that holds a ``self.machine``
+    back-reference, pulls a sibling out with ``component_of()``, or pokes
+    at the kernel's private state re-creates exactly the hidden coupling
+    the kernel refactor removed: a component's behaviour no longer
+    follows from its call arguments and ports alone.
     """
 
     rule_id = "RL019"
     title = "kernel component bypasses the port/bus API"
-    hint = "components talk via kernel.post/publish/complete/clock_of and wired *_port callables; wiring belongs to the Machine facade"
+    hint = "components talk via kernel.publish/clock_of and wired *_port callables; wiring belongs to the Machine facade"
 
     def applies_to(self, path: str) -> bool:
         normalized = path.replace("\\", "/")

@@ -58,6 +58,14 @@ class CacheHierarchy:
             MemoryLevel.LLC: params.llc.latency,
             MemoryLevel.DRAM: params.dram_latency,
         }
+        # The demand path's per-level latencies, line mask and slice-hash
+        # masks, bound once: ``access`` runs on every simulated load.
+        self._l1_latency = params.l1d.latency
+        self._l2_latency = params.l2.latency
+        self._llc_latency = params.llc.latency
+        self._dram_latency = params.dram_latency
+        self._line_mask = -self.l1.line_size
+        self._slice_masks = tuple(enumerate(self.slice_hash.masks))
         self.prefetch_fills = 0
         self.demand_accesses = 0
         #: Prefetch accuracy accounting: line addresses brought in by a
@@ -88,23 +96,30 @@ class CacheHierarchy:
     def access(self, paddr: int) -> AccessResult:
         """Perform a demand load of ``paddr``, filling caches on the way."""
         self.demand_accesses += 1
-        if self._prefetched_lines:
-            line = self.l1.line_address(paddr)
-            if line in self._prefetched_lines:
-                self._prefetched_lines.discard(line)
+        prefetched = self._prefetched_lines
+        if prefetched:
+            line = paddr & self._line_mask
+            if line in prefetched:
+                prefetched.discard(line)
                 self.prefetch_useful += 1
-        if self.l1.lookup(paddr):
-            return AccessResult(paddr, MemoryLevel.L1, self._latency[MemoryLevel.L1])
-        if self.l2.lookup(paddr):
-            self.l1.insert(paddr)
-            return AccessResult(paddr, MemoryLevel.L2, self._latency[MemoryLevel.L2])
-        llc = self.llc_slice(paddr)
+        l1 = self.l1
+        if l1.lookup(paddr):
+            return AccessResult(paddr, MemoryLevel.L1, self._l1_latency)
+        l2 = self.l2
+        if l2.lookup(paddr):
+            l1.insert(paddr)
+            return AccessResult(paddr, MemoryLevel.L2, self._l2_latency)
+        # The slice hash (``SliceHash.slice_of``), inline.
+        slice_id = 0
+        for bit, mask in self._slice_masks:
+            slice_id |= ((paddr & mask).bit_count() & 1) << bit
+        llc = self.llc[slice_id]
         if llc.lookup(paddr):
-            self.l2.insert(paddr)
-            self.l1.insert(paddr)
-            return AccessResult(paddr, MemoryLevel.LLC, self._latency[MemoryLevel.LLC])
+            l2.insert(paddr)
+            l1.insert(paddr)
+            return AccessResult(paddr, MemoryLevel.LLC, self._llc_latency)
         self._fill_from_dram(paddr, llc, into_l1=True)
-        return AccessResult(paddr, MemoryLevel.DRAM, self._latency[MemoryLevel.DRAM])
+        return AccessResult(paddr, MemoryLevel.DRAM, self._dram_latency)
 
     def insert_prefetch(self, paddr: int) -> None:
         """Install a prefetched line.

@@ -40,12 +40,13 @@ class SliceHash:
         self.n_bits = n_slices.bit_length() - 1
         if self.n_bits > len(_O_MASKS):
             raise ValueError(f"no published hash for {n_slices} slices")
-        self._masks = _O_MASKS[: self.n_bits]
+        #: Address mask of each slice-id bit (bit *i* is its parity).
+        self.masks = _O_MASKS[: self.n_bits]
 
     def slice_of(self, paddr: int) -> int:
         """Slice id of the line containing physical address ``paddr``."""
         slice_id = 0
-        for bit, mask in enumerate(self._masks):
+        for bit, mask in enumerate(self.masks):
             slice_id |= ((paddr & mask).bit_count() & 1) << bit
         return slice_id
 

@@ -88,7 +88,11 @@ class AddressSpace:
         self.global_pages = global_pages
         self.asid = next(_ASID_COUNTER) if asid is None else asid
         self.page_table = PageTable()
-        self.mappings: list[Mapping] = []
+        #: Bases of the live mappings.  The mappings themselves point back
+        #: at their space; holding them here too would be a reference cycle
+        #: that keeps a dropped machine's page tables alive until a cyclic
+        #: GC pass.
+        self._mapped_bases: set[int] = set()
         self._next_base = self.DEFAULT_MMAP_BASE
 
     def mmap(
@@ -108,7 +112,7 @@ class AddressSpace:
         for vpage in mapping.vpages():
             frame = self.physical.alloc_frame() if backed else PhysicalMemory.ZERO_FRAME
             self.page_table.map(vpage, frame)
-        self.mappings.append(mapping)
+        self._mapped_bases.add(mapping.base)
         return mapping
 
     def map_shared(self, source: Mapping, name: str | None = None) -> Mapping:
@@ -129,7 +133,7 @@ class AddressSpace:
         )
         for vpage, frame in zip(mapping.vpages(), frames):
             self.page_table.map(vpage, frame)
-        self.mappings.append(mapping)
+        self._mapped_bases.add(mapping.base)
         return mapping
 
     def write_touch(self, vaddr: int) -> None:
@@ -151,13 +155,13 @@ class AddressSpace:
 
     def munmap(self, mapping: Mapping) -> None:
         """Tear down ``mapping``, releasing private frames."""
-        if mapping not in self.mappings:
+        if mapping.space is not self or mapping.base not in self._mapped_bases:
             raise ValueError(f"mapping {mapping.name!r} does not belong to {self.name!r}")
         for vpage in mapping.vpages():
             frame = self.page_table.unmap(vpage)
             if frame is not None:
                 self.physical.free_frame(frame)
-        self.mappings.remove(mapping)
+        self._mapped_bases.remove(mapping.base)
 
     def _carve_region(self, n_pages: int) -> int:
         base = self._next_base
@@ -169,4 +173,4 @@ class AddressSpace:
         return base
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AddressSpace({self.name!r}, asid={self.asid}, mappings={len(self.mappings)})"
+        return f"AddressSpace({self.name!r}, asid={self.asid}, mappings={len(self._mapped_bases)})"

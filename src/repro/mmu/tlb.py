@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memsys.addr import page_frame, page_split
+from repro.memsys.addr import page_frame
 from repro.mmu.address_space import AddressSpace
 from repro.obs.tracer import NULL_TRACER, zero_clock
 from repro.params import PAGE_SIZE
+
+_PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
+_PAGE_MASK = PAGE_SIZE - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,13 +60,14 @@ class TLB:
 
     def translate(self, space: AddressSpace, vaddr: int) -> TranslationResult:
         """Translate ``vaddr`` in ``space``; walks the page table on a miss."""
-        vpage, offset = page_split(vaddr)
+        vpage = vaddr >> _PAGE_SHIFT
         key = (space.asid, vpage)
-        frame = self._entries.pop(key, None)
+        entries = self._entries
+        frame = entries.pop(key, None)
         if frame is not None:
-            self._entries[key] = frame
+            entries[key] = frame
             self.hits += 1
-            return TranslationResult(vaddr, frame * PAGE_SIZE + offset, True, 0)
+            return TranslationResult(vaddr, (frame << _PAGE_SHIFT) | (vaddr & _PAGE_MASK), True, 0)
         self.misses += 1
         if self.tracer.enabled:
             from repro.obs.events import TlbMiss
@@ -75,7 +79,9 @@ class TLB:
         if frame is None:
             raise KeyError(f"page fault: {vaddr:#x} not mapped in {space.name!r}")
         self._install(key, frame, is_global=space.global_pages)
-        return TranslationResult(vaddr, frame * PAGE_SIZE + offset, False, self._walk_latency)
+        return TranslationResult(
+            vaddr, (frame << _PAGE_SHIFT) | (vaddr & _PAGE_MASK), False, self._walk_latency
+        )
 
     def warm(self, space: AddressSpace, vaddr: int) -> None:
         """Pre-install the translation for ``vaddr`` without timing effects."""

@@ -13,7 +13,9 @@ two consequences:
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable
+from types import MethodType
 
 from repro.cpu.context import ThreadContext
 from repro.cpu.machine import Machine
@@ -41,22 +43,28 @@ class Enclave:
         self.space = machine.new_address_space(f"{name}-epc")
         self.ctx = ThreadContext(name=name, space=self.space)
         self.text = machine.code_region(ENCLAVE_TEXT_BASE, name=f"{name}-text")
-        self._ecalls: dict[str, Callable[..., object]] = {}
+        self._ecalls: dict[str, Callable[..., object] | weakref.WeakMethod] = {}
 
     def register_ecall(self, name: str, fn: Callable[..., object]) -> None:
         """Expose ``fn`` as an ECALL entry point."""
         if name in self._ecalls:
             raise ValueError(f"ECALL {name!r} already registered")
-        self._ecalls[name] = fn
+        # Subclasses register their own methods; holding those strongly
+        # would make the enclave (and its machine) a reference cycle that
+        # only a cyclic GC pass frees.
+        self._ecalls[name] = weakref.WeakMethod(fn) if isinstance(fn, MethodType) else fn
 
     def ecall(self, caller: ThreadContext, name: str, *args: object) -> object:
         """EENTER from ``caller``, run the ECALL, EEXIT back."""
-        if name not in self._ecalls:
+        fn = self._ecalls.get(name)
+        if isinstance(fn, weakref.WeakMethod):
+            fn = fn()
+        if fn is None:
             raise KeyError(f"no ECALL named {name!r}")
         self.machine.advance(ECALL_OVERHEAD_CYCLES)
         self.machine.context_switch(self.ctx)
         try:
-            return self._ecalls[name](*args)
+            return fn(*args)
         finally:
             self.machine.context_switch(caller)
             self.machine.advance(ECALL_OVERHEAD_CYCLES)

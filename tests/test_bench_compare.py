@@ -85,28 +85,6 @@ def obs_doc(**overrides) -> dict:
     return doc
 
 
-def kernel_doc(**overrides) -> dict:
-    doc = stamped(
-        {
-            "schema": 1,
-            "kind": "kernel",
-            "lanes": 32,
-            "rounds": 8,
-            "serial_wall_seconds": 3.0,
-            "batched_wall_seconds": 2.8,
-            "batch_speedup": 1.07,
-            "batch_overhead_ratio": -0.05,
-            "batch_overhead_bound": 0.10,
-            "aggregates_identical": True,
-            "simulated_cycles_total": 4_600_000_000,
-            "loads_retired_total": 17408,
-            "mean_quality": 0.96875,
-        }
-    )
-    doc.update(overrides)
-    return doc
-
-
 def serve_doc(**overrides) -> dict:
     doc = stamped(
         {
@@ -134,7 +112,7 @@ def serve_doc(**overrides) -> dict:
 class TestArtifactKind:
     def test_kind_field_wins(self):
         assert artifact_kind({"kind": "telemetry"}) == "telemetry"
-        assert artifact_kind({"kind": "kernel"}) == "kernel"
+        assert artifact_kind({"kind": "retired", "results": []}) is None
         assert artifact_kind({"kind": "serve"}) == "serve"
 
     def test_load_bearing_keys(self):
@@ -142,7 +120,6 @@ class TestArtifactKind:
         assert artifact_kind({"serial_wall_seconds": 1.0}) == "attacks"
         assert artifact_kind({"cold_wall_seconds": 1.0}) == "campaign"
         assert artifact_kind({"results": []}) == "obs"
-        assert artifact_kind({"batched_wall_seconds": 1.0}) == "kernel"
         assert artifact_kind({"warm_aggregate_p50_seconds": 0.002}) == "serve"
 
     def test_unrecognized(self):
@@ -165,13 +142,6 @@ class TestSelfCompare:
     def test_obs_self_compare_ok(self):
         doc = obs_doc()
         assert compare_documents(doc, doc).exit_code == EXIT_OK
-
-    def test_kernel_self_compare_ok(self):
-        doc = kernel_doc()
-        report = compare_documents(doc, doc)
-        assert report.refusal is None
-        assert report.exit_code == EXIT_OK
-        assert report.regressions == []
 
     def test_serve_self_compare_ok(self):
         doc = serve_doc()
@@ -231,30 +201,6 @@ class TestRegressions:
         report = compare_documents(attacks_doc(), current)
         assert report.exit_code == EXIT_REGRESSION
         assert any(f.current == "missing" for f in report.regressions)
-
-    def test_kernel_overhead_over_bound_regression(self):
-        report = compare_documents(kernel_doc(), kernel_doc(batch_overhead_ratio=0.2))
-        assert report.exit_code == EXIT_REGRESSION
-        assert any(
-            f.field == "batch_overhead_ratio" for f in report.regressions
-        )
-
-    def test_kernel_equivalence_flag_must_hold(self):
-        report = compare_documents(
-            kernel_doc(), kernel_doc(aggregates_identical=False)
-        )
-        assert report.exit_code == EXIT_REGRESSION
-
-    def test_kernel_cycle_total_drift_is_exact(self):
-        report = compare_documents(
-            kernel_doc(), kernel_doc(simulated_cycles_total=4_600_000_001)
-        )
-        assert report.exit_code == EXIT_REGRESSION
-        assert any(f.field == "simulated_cycles_total" for f in report.regressions)
-
-    def test_kernel_speedup_regression(self):
-        report = compare_documents(kernel_doc(), kernel_doc(batch_speedup=0.5))
-        assert report.exit_code == EXIT_REGRESSION
 
     def test_serve_latency_blowup_regression(self):
         report = compare_documents(

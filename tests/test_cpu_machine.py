@@ -1,10 +1,16 @@
 """Tests for the Machine: load path, TLB integration, switches, mitigation."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
-from repro.cpu.machine import Machine
+from repro.attacks import attack_names, run_trials
+from repro.cpu.machine import SWITCH_NOISE_PAGES, Machine
 from repro.memsys.hierarchy import MemoryLevel
-from repro.params import COFFEE_LAKE_I7_9700, PAGE_SIZE
+from repro.params import COFFEE_LAKE_I7_9700, LINES_PER_PAGE, PAGE_SIZE
+from repro.utils.rng import derive_rng, make_rng
 
 
 class TestLoadPath:
@@ -200,3 +206,49 @@ class TestNoiseInjection:
             m.warm_buffer_tlb(ctx, buf)
             latencies.append([m.load(ctx, 0x1234, buf.line_addr(i)) for i in range(32)])
         assert latencies[0] == latencies[1]
+
+
+class TestBatchedNoiseDraws:
+    """The OS noise paths draw ``k`` values with one ``integers(size=k)`` call.
+
+    That is only equivalent to the ``k`` scalar draws it replaced while
+    NumPy's bounded ``int64`` draws stay unbuffered; this pins it directly.
+    """
+
+    @pytest.mark.parametrize("bound", [SWITCH_NOISE_PAGES * LINES_PER_PAGE, 1 << 30])
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 13, 96])
+    def test_batch_equals_scalar_draws(self, bound, k):
+        for seed in range(20):
+            batched = derive_rng(make_rng(seed), "os")
+            scalar = derive_rng(make_rng(seed), "os")
+            drawn = batched.integers(0, bound, size=k).tolist()
+            expected = [int(scalar.integers(0, bound)) for _ in range(k)]
+            message = (
+                f"numpy {np.__version__}: integers(0, {bound}, size={k}) no longer "
+                f"matches {k} scalar draws (seed {seed}); the batched OS-noise draws "
+                f"in repro.cpu.kernel.components would change every golden trace"
+            )
+            assert drawn == expected, message
+            assert int(batched.integers(0, bound)) == int(scalar.integers(0, bound)), message
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("name", attack_names())
+    def test_dropped_machine_is_freed_by_reference_counting(self, name):
+        # ~17k cache sets and the page tables per machine: a reference cycle
+        # anywhere would keep them alive until a gen-2 collection, so with
+        # the cyclic collector off they must die as soon as the run returns.
+        refs = []
+
+        def remember(machine):
+            refs.extend((weakref.ref(machine.hierarchy), weakref.ref(machine.kernel_space)))
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_trials(name, seed=7, rounds=1, trace=False, sanitize=False, configure=remember)
+            assert len(refs) == 2
+            assert [ref() for ref in refs] == [None, None], f"{name}: the machine outlived its run"
+        finally:
+            if enabled:
+                gc.enable()

@@ -1,10 +1,9 @@
 """Differential equivalence gate for the simulation-kernel refactor.
 
-The event-driven kernel (:mod:`repro.cpu.kernel`) re-expresses the load
-path, context switching and timer interrupts as queued events dispatched
-to pluggable components.  The refactor is only shippable because these
-tests pin its behaviour to *committed bytes* produced by the pre-kernel
-``Machine``:
+The simulation kernel (:mod:`repro.cpu.kernel`) re-expresses the load
+path, context switching and timer interrupts as a call chain through
+pluggable components.  It is only shippable because these tests pin its
+behaviour to *committed bytes* produced by the pre-kernel ``Machine``:
 
 * two same-seed JSONL traces (variant1 + covert) must replay
   byte-identically;

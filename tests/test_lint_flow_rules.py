@@ -517,7 +517,7 @@ class TestKernelComponentIsolation:
             "class Bad(Component):\n"
             "    name = 'bad'\n"
             "    def on_load(self, event):\n"
-            "        memsys = self.kernel.component_of(self.lane, 'memsys')\n"
+            "        memsys = self.kernel.component_of('memsys')\n"
             "        memsys.hierarchy.access(event.ctx, event.vaddr)\n"
         )
         assert "RL019" in rule_ids(lint(source, path=KERNEL_PATH))
@@ -528,7 +528,18 @@ class TestKernelComponentIsolation:
             "class Bad(Component):\n"
             "    name = 'bad'\n"
             "    def on_load(self, event):\n"
-            "        self.kernel._queue.append(event)\n"
+            "        self.kernel._taps.append(event)\n"
+        )
+        assert "RL019" in rule_ids(lint(source, path=KERNEL_PATH))
+
+    def test_retired_event_post_is_flagged(self):
+        # The pipeline is a call chain: there is no event bus to post on.
+        source = (
+            "from repro.cpu.kernel.core import Component\n"
+            "class Bad(Component):\n"
+            "    name = 'bad'\n"
+            "    def on_load(self, event):\n"
+            "        self.kernel.post(event)\n"
         )
         assert "RL019" in rule_ids(lint(source, path=KERNEL_PATH))
 
@@ -537,23 +548,21 @@ class TestKernelComponentIsolation:
             "from repro.cpu.kernel.core import Component\n"
             "class Good(Component):\n"
             "    name = 'good'\n"
-            "    def on_load(self, event):\n"
-            "        self.tick_port()\n"
-            "        clock = self.kernel.clock_of(self.lane)\n"
-            "        clock.charge(event.ctx, 1)\n"
-            "        self.kernel.publish(event)\n"
-            "        self.kernel.post(event)\n"
-            "        self.kernel.complete(event)\n"
+            "    def retire(self, ctx, latency):\n"
+            "        self.insert_port(latency)\n"
+            "        clock = self.kernel.clock_of()\n"
+            "        clock.charge(ctx, latency)\n"
+            "        self.kernel.publish(LoadRetired, ctx, latency)\n"
         )
         assert "RL019" not in rule_ids(lint(source, path=KERNEL_PATH))
 
     def test_non_component_classes_are_exempt(self):
-        # MachineBatch holds machines by design; it is not a Component.
+        # Taps and helpers in the kernel package are not Components.
         source = (
-            "class MachineBatch:\n"
+            "class CycleTap:\n"
             "    def __init__(self, machine):\n"
             "        self.machine = machine\n"
-            "    def run(self):\n"
+            "    def __call__(self, event):\n"
             "        return self.machine.cycles\n"
         )
         assert "RL019" not in rule_ids(lint(source, path=KERNEL_PATH))

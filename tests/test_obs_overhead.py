@@ -2,22 +2,26 @@
 
 Two contracts:
 
-* **Disabled means free** — with the default :class:`NullTracer`, the hot
-  path must not construct a single event object (structural test with
-  raising event stubs) and a fixed covert run must stay within 5 % of the
+* **Disabled means free** — with the default :class:`NullTracer` and no
+  sanitizer, the hot path must not construct a single event object, trace
+  or kernel-published (structural test with raising event stubs), and a
+  fixed covert run must stay within 5 % of the
   wall clock of a fully-traced run of the same workload (best of three
   interleaved pairs; tracing serializes thousands of events, so a
   disabled path that secretly pays the tracing cost shows up here).
 * **Traced means deterministic** — two same-seed traced runs serialize to
-  byte-identical JSONL.
+  byte-identical JSONL, and tracing plus sanitizing leaves every attack's
+  wall-clock-free aggregate unchanged (taps only observe).
 """
 
 from time import perf_counter  # repro: noqa[RL003] — measuring the host is the point
 
 import pytest
 
+import repro.cpu.kernel.components as components_mod
 import repro.obs.events as events_mod
 import repro.prefetch.ip_stride as ip_stride_mod
+from repro.attacks import attack_names, run_trials
 from repro.obs.runner import run_attack
 from repro.obs.sinks import JsonlSink
 from repro.obs.tracer import Tracer
@@ -53,6 +57,12 @@ _HOOK_EVENT_SITES = [
     (events_mod, "SanitizerViolation"),
     (events_mod, "SpanBegin"),
     (events_mod, "SpanEnd"),
+    # The kernel's published events: built only when the machine has a tap.
+    (components_mod, "LoadRetired"),
+    (components_mod, "PrefetchDispatched"),
+    (components_mod, "LineFlushed"),
+    (components_mod, "SwitchCompleted"),
+    (components_mod, "TimerFired"),
 ]
 
 
@@ -60,7 +70,8 @@ class TestDisabledPath:
     def test_no_event_constructed_when_disabled(self, monkeypatch):
         for module, name in _HOOK_EVENT_SITES:
             monkeypatch.setattr(module, name, _Exploding)
-        run = _covert_run(trace=None)  # NullTracer: must never touch a stub
+        # NullTracer and no sanitizer: no tap, so no stub may be touched.
+        run = run_attack("covert", seed=SEED, rounds=ROUNDS, trace=None, sanitize=False)
         assert run.quality > 0.5
 
     def test_null_tracer_overhead_under_five_percent(self, tmp_path):
@@ -110,3 +121,12 @@ class TestDeterminism:
 
     def test_simulated_cycles_identical_across_runs(self):
         assert _covert_run().machine.cycles == _covert_run().machine.cycles
+
+    @pytest.mark.parametrize("name", attack_names())
+    def test_taps_do_not_change_aggregates(self, name):
+        # The tracer and sanitizer taps observe; they must not perturb.
+        def aggregate(observed: bool) -> dict:
+            batch = run_trials(name, seed=SEED, rounds=1, trace=observed, sanitize=observed)
+            return batch.wall_clock_free_dict()
+
+        assert aggregate(True) == aggregate(False)
