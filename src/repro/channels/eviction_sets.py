@@ -59,9 +59,10 @@ class EvictionSetBuilder:
         """
         needed = self._associativity + extra_ways
         es = EvictionSet(slice_id=slice_id, set_index=set_index)
+        translate = self.ctx.space.translate
+        slice_of = self.machine.hierarchy.slice_hash.slice_of
         for vaddr in self._candidate_lines(set_index):
-            paddr = self.ctx.space.translate(vaddr)
-            if self.machine.hierarchy.slice_hash.slice_of(paddr) == slice_id:
+            if slice_of(translate(vaddr)) == slice_id:
                 es.addresses.append(vaddr)
                 if len(es.addresses) == needed:
                     return es
@@ -88,11 +89,17 @@ class EvictionSetBuilder:
         ]
 
     def _candidate_lines(self, set_index: int):
-        """Yield pool line vaddrs whose physical set index equals ``set_index``."""
-        for page in range(self.pool.n_pages):
-            page_vaddr = self.pool.page_line_addr(page, 0)
-            frame = self.ctx.space.translate(page_vaddr) // PAGE_SIZE
-            line_in_page = (set_index - frame * LINES_PER_PAGE) % self._llc_sets
+        """Yield pool line vaddrs whose physical set index equals ``set_index``.
+
+        One page walk per pool page, in page order: a page holds the
+        candidate line iff its frame's 64 set indices cover ``set_index``.
+        """
+        translate = self.ctx.space.translate
+        llc_sets = self._llc_sets
+        base = self.pool.base
+        for page_vaddr in range(base, base + self.pool.n_pages * PAGE_SIZE, PAGE_SIZE):
+            frame = translate(page_vaddr) // PAGE_SIZE
+            line_in_page = (set_index - frame * LINES_PER_PAGE) % llc_sets
             if line_in_page < LINES_PER_PAGE:
                 yield page_vaddr + line_in_page * CACHE_LINE_SIZE
 
@@ -125,11 +132,11 @@ def search_eviction_set(
         latency = machine.load(ctx, probe_ip, target_vaddr, fenced=True)
         return latency >= machine.hit_threshold()
 
+    target_set = machine.hierarchy.llc_set_index(ctx.space.translate(target_vaddr))[1]
     candidates = [
         vaddr
         for vaddr in pool.lines()
-        if machine.hierarchy.llc_set_index(ctx.space.translate(vaddr))[1]
-        == machine.hierarchy.llc_set_index(ctx.space.translate(target_vaddr))[1]
+        if machine.hierarchy.llc_set_index(ctx.space.translate(vaddr))[1] == target_set
     ]
     if not evicts(candidates):
         raise RuntimeError("candidate pool does not evict the target; grow the pool")

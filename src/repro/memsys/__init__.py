@@ -5,7 +5,7 @@ LLCs), which is what makes the Prime+Probe channel of the paper's Variant 1
 work: evicting a line from the LLC back-invalidates the private levels.
 """
 
-from repro.memsys.cache import Cache, CacheSet
+from repro.memsys.cache import Cache
 from repro.memsys.hierarchy import AccessResult, CacheHierarchy, MemoryLevel
 from repro.memsys.replacement import (
     BitPLRU,
@@ -20,7 +20,6 @@ from repro.memsys.slice_hash import SliceHash
 
 __all__ = [
     "Cache",
-    "CacheSet",
     "CacheHierarchy",
     "AccessResult",
     "MemoryLevel",

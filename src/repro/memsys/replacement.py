@@ -5,7 +5,7 @@ IP-stride prefetcher's 24-entry history table: the paper concludes from
 Figure 8b that the prefetcher replacement is a Bit-PLRU variant (contiguous
 evictions, cheaper than true LRU), so :class:`BitPLRU` is exercised by the
 reverse-engineering benches.  The caches are true LRU and keep their order
-in :class:`~repro.memsys.cache.CacheSet` itself.
+in :class:`~repro.memsys.cache.Cache` itself, one ordered dict per set.
 
 Protocol
 --------

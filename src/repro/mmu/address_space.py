@@ -15,6 +15,9 @@ from repro.utils.bits import align_up
 #: same ASIDs no matter how many machines the process created before them.
 _ASID_COUNTER = itertools.count(1)
 
+_PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
+_PAGE_OFFSET_MASK = PAGE_SIZE - 1
+
 
 @dataclass(slots=True)
 class Mapping:
@@ -108,10 +111,11 @@ class AddressSpace:
         n_pages = align_up(n_bytes, PAGE_SIZE) // PAGE_SIZE
         base = self._carve_region(n_pages)
         mapping = Mapping(name=name, base=base, n_pages=n_pages, locked=locked, space=self)
-        backed = locked or populate
-        for vpage in mapping.vpages():
-            frame = self.physical.alloc_frame() if backed else PhysicalMemory.ZERO_FRAME
-            self.page_table.map(vpage, frame)
+        if locked or populate:
+            frames = self.physical.alloc_frames(n_pages)
+        else:
+            frames = [PhysicalMemory.ZERO_FRAME] * n_pages
+        self.page_table.entries.update(zip(mapping.vpages(), frames))
         self._mapped_bases.add(mapping.base)
         return mapping
 
@@ -150,8 +154,14 @@ class AddressSpace:
             self.page_table.map(vpage, self.physical.alloc_frame())
 
     def translate(self, vaddr: int) -> int:
-        """Virtual → physical byte address (raises KeyError when unmapped)."""
-        return self.page_table.translate(vaddr)
+        """Virtual → physical byte address (raises KeyError when unmapped).
+
+        This is the page walk: one lookup in the page table's frame dict.
+        """
+        frame = self.page_table.entries.get(vaddr >> _PAGE_SHIFT)
+        if frame is None:
+            raise KeyError(f"page fault: virtual address {vaddr:#x} is not mapped")
+        return (frame << _PAGE_SHIFT) | (vaddr & _PAGE_OFFSET_MASK)
 
     def munmap(self, mapping: Mapping) -> None:
         """Tear down ``mapping``, releasing private frames."""

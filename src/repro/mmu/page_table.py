@@ -45,6 +45,27 @@ class PhysicalMemory:
                 self._allocated.add(frame)
                 return frame
 
+    def alloc_frames(self, k: int) -> list[int]:
+        """Allocate ``k`` fresh, unique frames, in allocation order.
+
+        Returns the frames, and consumes exactly the draws, of ``k``
+        :meth:`alloc_frame` calls: bounded integer draws are unbuffered, so
+        a batch of ``m`` values is the next ``m`` scalar draws; a value
+        already allocated is skipped like a scalar redraw; and a batch
+        draws one value per frame still needed, so it never overdraws.
+        Raises MemoryError, before drawing, when ``k`` frames do not fit.
+        """
+        allocated = self._allocated
+        if len(allocated) + k > self._n_frames:
+            raise MemoryError("physical memory exhausted")
+        frames: list[int] = []
+        while len(frames) < k:
+            for frame in self._rng.integers(1, self._n_frames, size=k - len(frames)).tolist():
+                if frame not in allocated:
+                    allocated.add(frame)
+                    frames.append(frame)
+        return frames
+
     def free_frame(self, frame: int) -> None:
         """Return ``frame`` to the allocator (the zero frame is never freed)."""
         if frame == self.ZERO_FRAME:
@@ -60,38 +81,36 @@ class PhysicalMemory:
 
 
 class PageTable:
-    """Virtual-page → physical-frame map for one address space."""
+    """Virtual-page → physical-frame map for one address space.
+
+    ``entries`` is the map itself, a plain dict: the page walk
+    (:meth:`AddressSpace.translate <repro.mmu.address_space.AddressSpace.translate>`)
+    looks a page up in it directly, and ``mmap`` fills it with one
+    ``dict.update``.
+    """
 
     def __init__(self) -> None:
-        self._entries: dict[int, int] = {}
+        self.entries: dict[int, int] = {}
 
     def map(self, vpage: int, frame: int) -> None:
         """Install ``vpage -> frame`` (remapping an existing page is allowed:
         that is exactly what copy-on-write promotion does)."""
-        self._entries[vpage] = frame
+        self.entries[vpage] = frame
 
     def unmap(self, vpage: int) -> int | None:
         """Remove the mapping; return the frame it pointed to, if any."""
-        return self._entries.pop(vpage, None)
+        return self.entries.pop(vpage, None)
 
     def frame_of(self, vpage: int) -> int | None:
         """Frame backing ``vpage``, or None when unmapped."""
-        return self._entries.get(vpage)
+        return self.entries.get(vpage)
 
     def is_mapped(self, vpage: int) -> bool:
-        return vpage in self._entries
-
-    def translate(self, vaddr: int) -> int:
-        """Translate a virtual byte address; raises KeyError when unmapped."""
-        vpage, offset = divmod(vaddr, PAGE_SIZE)
-        frame = self._entries.get(vpage)
-        if frame is None:
-            raise KeyError(f"page fault: virtual address {vaddr:#x} is not mapped")
-        return frame * PAGE_SIZE + offset
+        return vpage in self.entries
 
     def mapped_pages(self) -> list[int]:
         """All mapped virtual page numbers (unordered)."""
-        return list(self._entries)
+        return list(self.entries)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)

@@ -191,13 +191,13 @@ class HierarchyChecker:
 
     @staticmethod
     def _check_set_consistency(name: str, cache: Cache, cycle: int | None) -> None:
-        for index, cache_set in enumerate(cache._sets):
-            if cache_set.occupancy() > cache_set.ways:
+        for index in range(cache.n_sets):
+            occupancy = cache.set_occupancy(index)
+            if occupancy > cache.ways:
                 raise InvariantViolation(
                     "hierarchy",
                     "set-bookkeeping",
-                    f"{name} set {index}: {cache_set.occupancy()} lines in "
-                    f"{cache_set.ways} ways",
+                    f"{name} set {index}: {occupancy} lines in {cache.ways} ways",
                     cycle,
                     {"cache": name, "set": index},
                 )

@@ -2,14 +2,22 @@
 
 import pytest
 
-from repro.channels.eviction_sets import EvictionSetBuilder, search_eviction_set
+from repro.channels.eviction_sets import EvictionSet, EvictionSetBuilder, search_eviction_set
 from repro.channels.flush_flush import FLUSH_THRESHOLD, FlushFlush
 from repro.channels.flush_reload import FlushReload
 from repro.channels.prime_probe import PrimeProbe
 from repro.channels.psc import PrefetcherStatusCheck
 from repro.channels.thresholds import classify_hit
+from repro.cpu.machine import Machine
+from repro.mmu.address_space import AddressSpace
 from repro.mmu.buffer import Buffer
-from repro.params import PAGE_SIZE
+from repro.params import (
+    CACHE_LINE_SIZE,
+    COFFEE_LAKE_I7_9700,
+    HASWELL_I7_4770,
+    LINES_PER_PAGE,
+    PAGE_SIZE,
+)
 
 
 @pytest.fixture
@@ -126,6 +134,55 @@ class TestEvictionSets:
         for vaddr in found:
             machine.load(ctx, 0x700008, vaddr, fenced=True)
         assert not machine.is_cached(ctx, target)
+
+    @pytest.mark.parametrize("params", [HASWELL_I7_4770, COFFEE_LAKE_I7_9700], ids=lambda p: p.name)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_page_scan_matches_reference(self, params, seed, monkeypatch):
+        """``build_for_page`` returns the sets, and makes the page walks, of
+        the line-indexed scan it replaced (``_reference_build_for_page``)."""
+        walks = 0
+        translate = AddressSpace.translate
+
+        def counting_translate(space, vaddr):
+            nonlocal walks
+            walks += 1
+            return translate(space, vaddr)
+
+        monkeypatch.setattr(AddressSpace, "translate", counting_translate)
+        results = []
+        for build in (_reference_build_for_page, EvictionSetBuilder.build_for_page):
+            machine = Machine(params.quiet(), seed=seed)
+            ctx = machine.new_thread("attacker")
+            victim = machine.new_buffer(ctx.space, PAGE_SIZE, name="victim")
+            builder = EvictionSetBuilder(machine, ctx)
+            walks = 0
+            sets = build(builder, ctx, victim.base)
+            results.append(([(es.slice_id, es.set_index, es.addresses) for es in sets], walks))
+        assert results[1] == results[0]
+
+
+def _reference_build_for_page(builder, ctx, page_base_vaddr):
+    """The pool scan as first written: one ``page_line_addr`` per pool page,
+    one walk per scanned page and one per candidate line."""
+    machine, pool, space = builder.machine, builder.pool, builder.ctx.space
+    hierarchy = machine.hierarchy
+    sets = []
+    for line in range(LINES_PER_PAGE):
+        slice_id, set_index = builder.target_of(ctx, page_base_vaddr + line * CACHE_LINE_SIZE)
+        es = EvictionSet(slice_id=slice_id, set_index=set_index)
+        for page in range(pool.n_pages):
+            page_vaddr = pool.page_line_addr(page, 0)
+            frame = space.translate(page_vaddr) // PAGE_SIZE
+            line_in_page = (set_index - frame * LINES_PER_PAGE) % machine.params.llc.sets
+            if line_in_page >= LINES_PER_PAGE:
+                continue
+            vaddr = page_vaddr + line_in_page * CACHE_LINE_SIZE
+            if hierarchy.slice_hash.slice_of(space.translate(vaddr)) == slice_id:
+                es.addresses.append(vaddr)
+                if len(es) == machine.params.llc.ways:
+                    break
+        sets.append(es)
+    return sets
 
 
 class TestPrimeProbe:

@@ -111,7 +111,7 @@ def test_cache_shift_mask_matches_addr_helpers(line_size: int, n_sets: int) -> N
         assert cache.set_index(paddr) == index
         assert cache.line_address(paddr) == addr.line_base(paddr, line_size)
         cache.insert(paddr)
-        assert cache._sets[index].resident_tags() == [tag]
+        assert list(cache._sets[index]) == [tag]
         assert list(cache.resident_lines()) == [
             addr.tag_to_line_base(tag, index, line_size, n_sets)
         ]

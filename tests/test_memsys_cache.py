@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memsys.cache import Cache, CacheSet
+from repro.memsys.cache import Cache
 from repro.memsys.replacement import LRUPolicy
 from repro.params import CacheGeometry
 
@@ -145,7 +145,7 @@ def test_property_eviction_only_from_same_set(addresses):
 class _WayStampSet:
     """Reference set: tags in numbered ways, victims chosen by LRU stamps.
 
-    This is the way-indexed algorithm ``CacheSet`` replaced: the first
+    This is the way-indexed algorithm the dict-ordered sets replaced: the first
     invalid way is filled first, and a full set evicts the way whose
     ``LRUPolicy`` stamp is oldest.
     """
@@ -202,12 +202,19 @@ def test_property_cache_set_matches_way_stamp_lru(ways, ops):
     """The dict-ordered set returns the same hit and evicted-tag streams as
     the way-stamp LRU it replaced, for any lookup/insert/invalidate/clear
     sequence."""
-    cache_set, reference = CacheSet(ways), _WayStampSet(ways)
+    # One set, so a line's tag is its line number: tag ``t`` is paddr ``t * 64``.
+    geometry = CacheGeometry(name="one-set", sets=1, ways=ways, latency=4)
+    cache, reference = Cache(geometry), _WayStampSet(ways)
+    line = geometry.line_size
     for op, tag in ops:
         if op == "clear":
-            cache_set.clear()
+            cache.flush_all()
             reference.clear()
+        elif op == "insert":
+            evicted = cache.insert(tag * line)
+            evicted_tag = None if evicted is None else evicted // line
+            assert evicted_tag == reference.insert(tag), (op, tag)
         else:
-            assert getattr(cache_set, op)(tag) == getattr(reference, op)(tag), (op, tag)
-        assert set(cache_set.resident_tags()) == reference.resident()
-        assert cache_set.occupancy() == len(reference.resident())
+            assert getattr(cache, op)(tag * line) == getattr(reference, op)(tag), (op, tag)
+        assert {addr // line for addr in cache.resident_lines()} == reference.resident()
+        assert cache.set_occupancy(0) == len(reference.resident())

@@ -46,16 +46,41 @@ class TestPhysicalMemory:
             PhysicalMemory.frame_to_paddr(1, PAGE_SIZE)
 
 
+class TestAllocFrames:
+    """``alloc_frames(k)`` is ``k`` ``alloc_frame()`` calls in one batch."""
+
+    @pytest.mark.parametrize("n_frames", [64, 1 << 21])
+    @pytest.mark.parametrize("k", [1, 2, 7, 40, 63, 4096])
+    def test_matches_scalar_allocation(self, n_frames, k):
+        # With 64 frames the batches collide with earlier frames and with
+        # each other, so redraws are exercised; there k is capped at the 62
+        # frames left, which takes every frame.
+        for seed in range(20):
+            scalar_rng, batched_rng = make_rng(seed), make_rng(seed)
+            scalar = PhysicalMemory(scalar_rng, n_frames)
+            batched = PhysicalMemory(batched_rng, n_frames)
+            scalar.alloc_frame()
+            batched.alloc_frame()
+            expected = [scalar.alloc_frame() for _ in range(min(k, n_frames - 2))]
+            assert batched.alloc_frames(len(expected)) == expected
+            assert batched.allocated_count == scalar.allocated_count
+            # Both generators stand at the same next draw.
+            assert batched_rng.integers(1 << 62) == scalar_rng.integers(1 << 62)
+
+    def test_zero_frames(self, physical):
+        assert physical.alloc_frames(0) == []
+        assert physical.allocated_count == 1
+
+    def test_exhaustion_raises(self):
+        physical = PhysicalMemory(make_rng(0), n_frames=8)
+        assert len(set(physical.alloc_frames(7))) == 7
+        with pytest.raises(MemoryError):
+            physical.alloc_frames(1)
+        with pytest.raises(MemoryError):
+            PhysicalMemory(make_rng(0), n_frames=8).alloc_frames(8)
+
+
 class TestPageTable:
-    def test_translate(self):
-        table = PageTable()
-        table.map(5, 77)
-        assert table.translate(5 * PAGE_SIZE + 123) == 77 * PAGE_SIZE + 123
-
-    def test_unmapped_faults(self):
-        with pytest.raises(KeyError):
-            PageTable().translate(0x1000)
-
     def test_remap_allowed(self):
         table = PageTable()
         table.map(1, 10)
@@ -68,6 +93,16 @@ class TestPageTable:
         assert table.unmap(1) == 10
         assert not table.is_mapped(1)
         assert table.unmap(1) is None
+
+
+class TestAddressSpaceTranslate:
+    def test_translate(self, space):
+        space.page_table.map(5, 77)
+        assert space.translate(5 * PAGE_SIZE + 123) == 77 * PAGE_SIZE + 123
+
+    def test_unmapped_faults(self, space):
+        with pytest.raises(KeyError):
+            space.translate(0x1000)
 
 
 class TestAddressSpaceMmap:

@@ -174,10 +174,10 @@ class TestHierarchyInvariants:
         paddr = ctx.space.translate(buf.page_line_addr(1, 0))
         machine.load(ctx, 0x40_9000, buf.page_line_addr(1, 0))
         l1 = machine.hierarchy.l1
-        cache_set = l1._sets[l1.set_index(paddr)]  # repro: noqa[RL005]
+        lines = l1._sets[l1.set_index(paddr)]  # repro: noqa[RL005]
         # Overfill the set behind the LRU's back: more lines than ways.
-        for extra in range(cache_set.ways):
-            cache_set.lines[-1 - extra] = None  # repro: noqa[RL005] - deliberate corruption
+        for extra in range(l1.ways):
+            lines[-1 - extra] = None  # deliberate corruption
         expect_violation(machine, "set-bookkeeping")
 
 
