@@ -136,14 +136,7 @@ class PrefetchComponent(Component):
     def _feed_demand(
         self, ctx: ThreadContext, event: LoadEvent
     ) -> tuple[PrefetchRequest, ...]:
-        space = ctx.space
-
-        def translate(vaddr: int) -> int | None:
-            try:
-                return space.translate(vaddr)
-            except KeyError:
-                return None
-
+        translate = ctx.space.translate_or_none
         issued = self._dispatch_all(self.ip_stride.observe(event, translate), event.ip)
         for prefetcher in self.noise_prefetchers:
             requests = prefetcher.observe(event, translate)

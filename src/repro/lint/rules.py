@@ -304,15 +304,15 @@ class MagicNumberRule(Rule):
 class SlotsRule(Rule):
     """RL007 — hot per-cycle dataclasses must declare ``slots=True``.
 
-    ``LoadEvent``, ``PrefetchRequest``, cache/TLB results and prefetcher
-    entries are allocated on every simulated load; a ``__dict__`` per
-    instance roughly doubles their footprint and allows silent attribute
-    typos (``entry.confidnce = 1`` would just... work).
+    ``LoadEvent``, ``PrefetchRequest``, TLB results and prefetcher entries
+    are allocated on every simulated load; a ``__dict__`` per instance
+    roughly doubles their footprint and allows silent attribute typos
+    (``entry.confidnce = 1`` would just... work).
     """
 
     rule_id = "RL007"
     title = "per-cycle dataclass without slots=True"
-    hint = "declare @dataclass(slots=True) (add frozen=True where instances are immutable)"
+    hint = "declare @dataclass(slots=True); freeze shared constants, not per-load records"
 
     def applies_to(self, path: str) -> bool:
         return _in_any_package(path, MODEL_PACKAGES)

@@ -31,9 +31,8 @@ class MemoryLevel(enum.IntEnum):
 
 @dataclass(frozen=True, slots=True)
 class AccessResult:
-    """Outcome of one demand access."""
+    """Outcome of one demand access; one shared, frozen instance per level."""
 
-    paddr: int
     level: MemoryLevel
     latency: int
 
@@ -52,18 +51,12 @@ class CacheHierarchy:
         self.l2 = Cache(params.l2)
         self.slice_hash = SliceHash(params.llc_slices)
         self.llc = [Cache(params.llc) for _ in range(params.llc_slices)]
-        self._latency = {
-            MemoryLevel.L1: params.l1d.latency,
-            MemoryLevel.L2: params.l2.latency,
-            MemoryLevel.LLC: params.llc.latency,
-            MemoryLevel.DRAM: params.dram_latency,
-        }
-        # The demand path's per-level latencies, line mask and slice-hash
-        # masks, bound once: ``access`` runs on every simulated load.
-        self._l1_latency = params.l1d.latency
-        self._l2_latency = params.l2.latency
-        self._llc_latency = params.llc.latency
-        self._dram_latency = params.dram_latency
+        # The demand path's per-level results, line mask and slice-hash
+        # masks, built once: ``access`` runs on every simulated load.
+        self._l1_hit = AccessResult(MemoryLevel.L1, params.l1d.latency)
+        self._l2_hit = AccessResult(MemoryLevel.L2, params.l2.latency)
+        self._llc_hit = AccessResult(MemoryLevel.LLC, params.llc.latency)
+        self._dram_miss = AccessResult(MemoryLevel.DRAM, params.dram_latency)
         self._line_mask = -self.l1.line_size
         self._slice_masks = tuple(enumerate(self.slice_hash.masks))
         self.prefetch_fills = 0
@@ -82,7 +75,8 @@ class CacheHierarchy:
 
     def latency_of(self, level: MemoryLevel) -> int:
         """Load-to-use latency of ``level`` (before timing noise)."""
-        return self._latency[level]
+        results = (self._l1_hit, self._l2_hit, self._llc_hit, self._dram_miss)
+        return results[level - MemoryLevel.L1].latency
 
     def llc_slice(self, paddr: int) -> Cache:
         """The LLC slice responsible for ``paddr``."""
@@ -104,11 +98,11 @@ class CacheHierarchy:
                 self.prefetch_useful += 1
         l1 = self.l1
         if l1.lookup(paddr):
-            return AccessResult(paddr, MemoryLevel.L1, self._l1_latency)
+            return self._l1_hit
         l2 = self.l2
         if l2.lookup(paddr):
             l1.insert(paddr)
-            return AccessResult(paddr, MemoryLevel.L2, self._l2_latency)
+            return self._l2_hit
         # The slice hash (``SliceHash.slice_of``), inline.
         slice_id = 0
         for bit, mask in self._slice_masks:
@@ -117,9 +111,9 @@ class CacheHierarchy:
         if llc.lookup(paddr):
             l2.insert(paddr)
             l1.insert(paddr)
-            return AccessResult(paddr, MemoryLevel.LLC, self._llc_latency)
+            return self._llc_hit
         self._fill_from_dram(paddr, llc, into_l1=True)
-        return AccessResult(paddr, MemoryLevel.DRAM, self._dram_latency)
+        return self._dram_miss
 
     def insert_prefetch(self, paddr: int) -> None:
         """Install a prefetched line.

@@ -163,6 +163,16 @@ class AddressSpace:
             raise KeyError(f"page fault: virtual address {vaddr:#x} is not mapped")
         return (frame << _PAGE_SHIFT) | (vaddr & _PAGE_OFFSET_MASK)
 
+    def translate_or_none(self, vaddr: int) -> int | None:
+        """``translate``, but None when unmapped (a prefetcher's ``TranslateFn``).
+
+        Goes through ``translate``, so it counts as one page walk.
+        """
+        try:
+            return self.translate(vaddr)
+        except KeyError:
+            return None
+
     def munmap(self, mapping: Mapping) -> None:
         """Tear down ``mapping``, releasing private frames."""
         if mapping.space is not self or mapping.base not in self._mapped_bases:

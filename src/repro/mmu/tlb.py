@@ -20,9 +20,9 @@ _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 _PAGE_MASK = PAGE_SIZE - 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TranslationResult:
-    """Outcome of translating one virtual address."""
+    """Outcome of translating one virtual address (per-load: not frozen, DESIGN.md §6)."""
 
     vaddr: int
     paddr: int

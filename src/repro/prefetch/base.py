@@ -14,14 +14,14 @@ from repro.memsys.hierarchy import MemoryLevel
 TranslateFn = Callable[[int], int | None]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LoadEvent:
     """One retired demand load, as seen by the prefetchers.
 
     ``asid`` identifies the issuing address space.  The *stock* IP-stride
     prefetcher ignores it — that is AfterImage's root cause — but the
     tagged-prefetcher defense (:mod:`repro.defenses.tagged_prefetcher`)
-    keys its table on it.
+    keys its table on it.  Built per load, so not frozen (DESIGN.md §6).
     """
 
     ip: int

@@ -17,6 +17,7 @@ throughput; ``check_all()`` runs it on demand.
 from __future__ import annotations
 
 import os
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.sanitize.checkers import HierarchyChecker, PrefetcherChecker, TLBChecker
@@ -51,7 +52,8 @@ class Sanitizer:
     def __init__(self, machine: Machine, full_scan_interval: int = 4096) -> None:
         if full_scan_interval <= 0:
             raise ValueError(f"full_scan_interval must be positive, got {full_scan_interval}")
-        self.machine = machine
+        # Weak: the machine holds this sanitizer through its kernel's tap.
+        self.machine = weakref.proxy(machine)
         self.full_scan_interval = full_scan_interval
         self.prefetcher = PrefetcherChecker(machine.ip_stride)
         self.hierarchy = HierarchyChecker(machine.hierarchy)

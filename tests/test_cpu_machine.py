@@ -252,3 +252,28 @@ class TestLifetime:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_dropped_sanitized_machine_is_freed_by_reference_counting(self):
+        # The sanitizer reads the machine's clock and tracer, and the machine
+        # reaches the sanitizer through its kernel's tap: only a weak
+        # back-reference keeps that from being a cycle.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            machine = Machine(COFFEE_LAKE_I7_9700, seed=7, sanitize=True)
+            victim, spy = machine.new_thread("victim"), machine.new_thread("spy")
+            buf = machine.new_buffer(victim.space, 4 * PAGE_SIZE)
+            machine.warm_buffer_tlb(victim, buf)
+            machine.context_switch(victim)
+            for line in range(LINES_PER_PAGE):
+                machine.load(victim, 0x40_1000, buf.page_line_addr(0, line))
+            machine.context_switch(spy)
+            machine.sanitizer.check_all()
+            refs = [
+                weakref.ref(obj) for obj in (machine, machine.sanitizer, machine.hierarchy)
+            ]
+            del machine, victim, spy, buf
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            if enabled:
+                gc.enable()

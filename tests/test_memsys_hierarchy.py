@@ -1,5 +1,7 @@
 """Tests for the inclusive cache hierarchy and the LLC slice hash."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,28 @@ class TestAccessPath:
     def test_latency_ordering(self, hierarchy):
         latencies = [hierarchy.latency_of(level) for level in MemoryLevel]
         assert latencies == sorted(latencies)
+
+    def test_each_level_returns_one_shared_frozen_result(self, hierarchy):
+        # access() hands out one constant per level instead of a new object
+        # per load; sharing is only safe because the constants are frozen.
+        # The L2 and LLC lines are cleared from the levels above between
+        # accesses, so every access below is served by the named level.
+        served: dict[MemoryLevel, list] = {level: [] for level in MemoryLevel}
+        for paddr in (0x1000, 0x2000, 0x3000):
+            served[MemoryLevel.DRAM].append(hierarchy.access(paddr))
+            served[MemoryLevel.L1].append(hierarchy.access(paddr))
+            hierarchy.l1.invalidate(paddr)
+            served[MemoryLevel.L2].append(hierarchy.access(paddr))
+            hierarchy.l1.invalidate(paddr)
+            hierarchy.l2.invalidate(paddr)
+            served[MemoryLevel.LLC].append(hierarchy.access(paddr))
+        for level, results in served.items():
+            first = results[0]
+            assert all(result is first for result in results), level
+            assert first.level is level
+            assert first.latency == hierarchy.latency_of(level)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                first.latency = 0
 
 
 class TestPrefetchFills:

@@ -89,9 +89,9 @@ class TestAccessResult:
     def test_hit_property(self):
         from repro.memsys.hierarchy import AccessResult
 
-        assert AccessResult(0, MemoryLevel.L1, 4).hit
-        assert AccessResult(0, MemoryLevel.LLC, 42).hit
-        assert not AccessResult(0, MemoryLevel.DRAM, 250).hit
+        assert AccessResult(MemoryLevel.L1, 4).hit
+        assert AccessResult(MemoryLevel.LLC, 42).hit
+        assert not AccessResult(MemoryLevel.DRAM, 250).hit
 
 
 class TestBufferSharingAcrossMachineHelpers:

@@ -104,6 +104,24 @@ class TestAddressSpaceTranslate:
         with pytest.raises(KeyError):
             space.translate(0x1000)
 
+    def test_translate_or_none_is_one_walk(self, space, monkeypatch):
+        # The prefetchers' TranslateFn: None instead of a fault, and exactly
+        # one ``translate`` call, so the page-walk count perfbench hooks on
+        # ``AddressSpace.translate`` is unchanged.
+        calls = []
+        translate = AddressSpace.translate
+
+        def counting(self, vaddr):
+            calls.append(vaddr)
+            return translate(self, vaddr)
+
+        monkeypatch.setattr(AddressSpace, "translate", counting)
+        space.page_table.map(5, 77)
+        assert space.translate_or_none(0x1000) is None
+        assert calls == [0x1000]
+        assert space.translate_or_none(5 * PAGE_SIZE + 9) == 77 * PAGE_SIZE + 9
+        assert calls == [0x1000, 5 * PAGE_SIZE + 9]
+
 
 class TestAddressSpaceMmap:
     def test_mmap_rounds_to_pages(self, space):
