@@ -129,6 +129,7 @@ bench-figures:
 # sanitizer-instrumented smoke slice of the test suite, and the
 # observability overhead/determinism tests.
 check: lint leakcheck leakcheck-scan
-	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q tests/test_examples.py tests/test_leakcheck.py
+	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q tests/test_examples.py tests/test_leakcheck.py \
+		tests/test_memsys_hierarchy.py tests/test_core_variant1.py
 	$(PYTHON) -m pytest -x -q tests/test_obs.py tests/test_obs_metrics.py tests/test_obs_overhead.py
 	@echo "check: all gates passed"

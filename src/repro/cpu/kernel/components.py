@@ -63,7 +63,7 @@ def _null_translate(_vaddr: int) -> int | None:
 
 
 class MemoryComponent(Component):
-    """Owns the cache hierarchy's flush path and the OS/prefetch ports."""
+    """Owns the cache hierarchy's flush path and the prefetch-fill port."""
 
     def __init__(self, kernel: SimKernel, hierarchy: CacheHierarchy) -> None:
         super().__init__(kernel)
@@ -76,10 +76,6 @@ class MemoryComponent(Component):
         self.hierarchy.clflush(paddr)
         self.clock.charge(ctx, CLFLUSH_CYCLES)
         self.kernel.publish(LineFlushed, ctx, vaddr, paddr)
-
-    def demand_access(self, paddr: int) -> AccessResult:
-        """Port target: a demand access outside the load path (OS noise)."""
-        return self.hierarchy.access(paddr)
 
     def insert_prefetch(self, paddr: int) -> None:
         """Port target: install a prefetched line (L2 + LLC, not L1)."""
@@ -198,7 +194,7 @@ class OSComponent(Component):
     (``tests/test_cpu_machine.py`` pins this).
     """
 
-    #: Wired to ``MemoryComponent.demand_access``.
+    #: Wired to ``CacheHierarchy.access``.
     access_port: Callable[[int], object]
     #: Wired to ``PrefetchComponent.feed_kernel``.
     feed_port: Callable[[LoadEvent], None]

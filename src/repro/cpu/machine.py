@@ -190,7 +190,7 @@ class Machine:
         # (flow lint rule RL019 flags anything wider).  Every port points
         # down the pipeline, so a dropped machine holds no reference cycle.
         self._prefetch.insert_port = self._memsys.insert_prefetch
-        self._os.access_port = self._memsys.demand_access
+        self._os.access_port = self.hierarchy.access
         self._os.feed_port = self._prefetch.feed_kernel
         self._os.clear_port = self._prefetch.clear
         self._os.flush_tlb_port = self.tlb.flush

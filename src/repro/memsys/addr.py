@@ -1,15 +1,15 @@
-"""Shared address arithmetic: lines, pages, sets, tags — one audited place.
+"""Shared address arithmetic: lines, pages and sets — one audited place.
 
 Before this module, ``vaddr // CACHE_LINE_SIZE``, ``paddr // PAGE_SIZE``
-and the set/tag decomposition were re-derived independently in
+and the line/set decomposition were re-derived independently in
 ``cpu/machine.py``, all four prefetchers, the TLB and ``memsys/cache.py``.
 Every helper here is pure integer arithmetic; the regression tests
 (``tests/test_memsys_addr.py``) pin each one against the original inline
 formula so the dedup cannot drift.
 
 Line/page helpers default to the architectural ``CACHE_LINE_SIZE`` /
-``PAGE_SIZE``; the set/tag helpers take the cache geometry explicitly
-because cache levels may differ in line size and set count.
+``PAGE_SIZE``; :func:`set_index` takes the cache geometry explicitly
+because cache levels differ in set count.
 """
 
 from __future__ import annotations
@@ -54,18 +54,8 @@ def same_block(a: int, b: int, block_size: int) -> bool:
 def set_index(addr: int, line_size: int, n_sets: int) -> int:
     """Set index of the line containing ``addr`` in a set-associative cache.
 
-    ``Cache`` computes set, tag and line address by shift and mask;
-    ``tests/test_memsys_addr.py`` pins it to this helper, :func:`cache_tag`
-    and :func:`tag_to_line_base`.
+    ``Cache`` keys each set by line number and computes the index by shift
+    and mask; ``tests/test_memsys_addr.py`` pins it to this helper and
+    :func:`line_index`.
     """
     return (addr // line_size) % n_sets
-
-
-def cache_tag(addr: int, line_size: int, n_sets: int) -> int:
-    """Tag of the line containing ``addr`` (line number above the set bits)."""
-    return (addr // line_size) // n_sets
-
-
-def tag_to_line_base(tag: int, index: int, line_size: int, n_sets: int) -> int:
-    """Reassemble a line's byte address from ``(tag, set index)``."""
-    return (tag * n_sets + index) * line_size

@@ -8,18 +8,21 @@ from repro.params import CacheGeometry
 
 
 class Cache:
-    """A set-associative cache indexed by physical line address.
+    """A set-associative cache indexed by physical line number.
 
-    The cache stores line *addresses* (byte address of the line start); the
-    tag within a set is the line number divided by the set count.  Both
-    ``line_size`` and ``sets`` are powers of two (``CacheGeometry`` checks),
-    so set index and tag are a shift and a mask of the address.  Data
-    payloads are not modeled — every experiment in the paper observes only
-    residency and latency.
+    A line is keyed by its *line number*, ``paddr >> line_shift``.  Line
+    number ``n`` lives in set ``n & set_mask``, and ``sets[i]`` is set
+    ``i``: an insertion-ordered ``dict[line, None]`` of its resident line
+    numbers, least recently used first.  A hit moves its line to the end,
+    and a fill into a full set evicts the first line.  Both ``line_size``
+    and ``sets`` are powers of two (``CacheGeometry`` checks), so the line
+    number and set index are a shift and a mask of the address.
+    ``CacheHierarchy.access`` reads and writes ``sets`` directly, with the
+    same line number at every level.  Data payloads are not modeled — every
+    experiment in the paper observes only residency and latency.
 
-    Each set is one insertion-ordered dict of resident tags (values unused),
-    least recently used first: a hit moves its tag to the end, and a fill
-    into a full set evicts the first tag.
+    The methods take and return byte addresses: ``insert`` returns the
+    evicted line's start address, and ``resident_lines`` yields them.
     """
 
     def __init__(self, geometry: CacheGeometry) -> None:
@@ -27,16 +30,15 @@ class Cache:
         self.line_size = geometry.line_size
         self.n_sets = geometry.sets
         self.ways = geometry.ways
-        self._line_shift = geometry.line_size.bit_length() - 1
-        self._set_mask = geometry.sets - 1
-        self._tag_shift = self._line_shift + geometry.sets.bit_length() - 1
-        self._sets: list[dict[int, None]] = [{} for _ in range(geometry.sets)]
+        self.line_shift = geometry.line_size.bit_length() - 1
+        self.set_mask = geometry.sets - 1
+        self.sets: list[dict[int, None]] = [{} for _ in range(geometry.sets)]
         self.hits = 0
         self.misses = 0
 
     def set_index(self, paddr: int) -> int:
         """Set index of the line containing physical address ``paddr``."""
-        return (paddr >> self._line_shift) & self._set_mask
+        return (paddr >> self.line_shift) & self.set_mask
 
     def line_address(self, paddr: int) -> int:
         """Byte address of the start of the line containing ``paddr``."""
@@ -44,19 +46,20 @@ class Cache:
 
     def lookup(self, paddr: int) -> bool:
         """Access the line holding ``paddr``; True on hit (updates LRU/stats)."""
-        lines = self._sets[(paddr >> self._line_shift) & self._set_mask]
-        tag = paddr >> self._tag_shift
-        if tag not in lines:
+        line = paddr >> self.line_shift
+        lines = self.sets[line & self.set_mask]
+        if line not in lines:
             self.misses += 1
             return False
-        del lines[tag]
-        lines[tag] = None
+        del lines[line]
+        lines[line] = None
         self.hits += 1
         return True
 
     def contains(self, paddr: int) -> bool:
         """Non-mutating residency check (no LRU/statistics update)."""
-        return (paddr >> self._tag_shift) in self._sets[self.set_index(paddr)]
+        line = paddr >> self.line_shift
+        return line in self.sets[line & self.set_mask]
 
     def insert(self, paddr: int) -> int | None:
         """Fill the line holding ``paddr``; return evicted line address or None.
@@ -64,42 +67,42 @@ class Cache:
         An already-resident line is just refreshed (no eviction); a fill into
         a full set evicts its least recently used line.
         """
-        index = (paddr >> self._line_shift) & self._set_mask
-        lines = self._sets[index]
-        tag = paddr >> self._tag_shift
+        line = paddr >> self.line_shift
+        lines = self.sets[line & self.set_mask]
         evicted = None
-        if tag in lines:
-            del lines[tag]
+        if line in lines:
+            del lines[line]
         elif len(lines) >= self.ways:
-            evicted_tag = next(iter(lines))
-            del lines[evicted_tag]
-            evicted = (evicted_tag << self._tag_shift) | (index << self._line_shift)
-        lines[tag] = None
+            evicted = next(iter(lines))
+            del lines[evicted]
+            evicted <<= self.line_shift
+        lines[line] = None
         return evicted
 
     def invalidate(self, paddr: int) -> bool:
         """Remove the line holding ``paddr``; True if it was resident."""
-        lines = self._sets[(paddr >> self._line_shift) & self._set_mask]
-        tag = paddr >> self._tag_shift
-        if tag not in lines:
+        line = paddr >> self.line_shift
+        lines = self.sets[line & self.set_mask]
+        if line not in lines:
             return False
-        del lines[tag]
+        del lines[line]
         return True
 
     def flush_all(self) -> None:
         """Invalidate every line (e.g. a WBINVD-style flush)."""
-        for lines in self._sets:
+        for lines in self.sets:
             lines.clear()
 
     def set_occupancy(self, index: int) -> int:
         """Valid-line count of set ``index`` (inspection helper)."""
-        return len(self._sets[index])
+        return len(self.sets[index])
 
     def resident_lines(self) -> Iterator[int]:
         """Iterate over the byte addresses of all resident lines."""
-        for index, lines in enumerate(self._sets):
-            for tag in lines:
-                yield (tag << self._tag_shift) | (index << self._line_shift)
+        shift = self.line_shift
+        for lines in self.sets:
+            for line in lines:
+                yield line << shift
 
     def reset_stats(self) -> None:
         self.hits = 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.memsys.cache import Cache
 from repro.memsys.slice_hash import SliceHash
 from repro.obs.tracer import NULL_TRACER, zero_clock
-from repro.params import MachineParams
+from repro.params import PAGE_SIZE, MachineParams
 
 
 class MemoryLevel(enum.IntEnum):
@@ -43,7 +43,20 @@ class AccessResult:
 
 
 class CacheHierarchy:
-    """L1D + L2 + sliced, inclusive LLC."""
+    """L1D + L2 + sliced, inclusive LLC, keyed by physical line number.
+
+    Every level shares one line size (``MachineParams`` checks), so one
+    line number, ``paddr >> line_shift``, is the key at every level: it
+    picks the set in each ``Cache.sets`` and is the entry stored there.
+    ``access``, ``insert_prefetch`` and ``clflush`` compute it once and
+    read and write the three levels' set dicts directly.
+
+    Slice selection uses the linearity of the slice hash: every slice bit
+    is the parity of a mask, so a line's slice is its frame's slice XOR the
+    slice of its offset within the page.  The frame part is memoised per
+    frame on first use and the in-page part is a table of one entry per
+    line of a page; ``SliceHash.slice_of`` stays the reference.
+    """
 
     def __init__(self, params: MachineParams) -> None:
         self.params = params
@@ -51,17 +64,24 @@ class CacheHierarchy:
         self.l2 = Cache(params.l2)
         self.slice_hash = SliceHash(params.llc_slices)
         self.llc = [Cache(params.llc) for _ in range(params.llc_slices)]
-        # The demand path's per-level results, line mask and slice-hash
-        # masks, built once: ``access`` runs on every simulated load.
+        # The demand path's per-level results, built once: ``access`` runs
+        # on every simulated load.
         self._l1_hit = AccessResult(MemoryLevel.L1, params.l1d.latency)
         self._l2_hit = AccessResult(MemoryLevel.L2, params.l2.latency)
         self._llc_hit = AccessResult(MemoryLevel.LLC, params.llc.latency)
         self._dram_miss = AccessResult(MemoryLevel.DRAM, params.dram_latency)
-        self._line_mask = -self.l1.line_size
-        self._slice_masks = tuple(enumerate(self.slice_hash.masks))
+        self._line_shift = self.l1.line_shift
+        lines_per_page = PAGE_SIZE // self.l1.line_size
+        self._page_line_bits = lines_per_page.bit_length() - 1
+        self._page_line_mask = lines_per_page - 1
+        self._in_page_slices = tuple(
+            self.slice_hash.slice_of(line << self._line_shift) for line in range(lines_per_page)
+        )
+        #: frame number -> slice of the frame's first byte, filled lazily.
+        self._frame_slices: dict[int, int] = {}
         self.prefetch_fills = 0
         self.demand_accesses = 0
-        #: Prefetch accuracy accounting: line addresses brought in by a
+        #: Prefetch accuracy accounting: line numbers brought in by a
         #: prefetch and not yet touched by demand.  A later demand hit on
         #: such a line is a *useful* prefetch; losing the line first
         #: (eviction or flush) makes it *useless*.
@@ -78,42 +98,73 @@ class CacheHierarchy:
         results = (self._l1_hit, self._l2_hit, self._llc_hit, self._dram_miss)
         return results[level - MemoryLevel.L1].latency
 
+    def _slice_of_line(self, line: int) -> int:
+        """LLC slice of line number ``line``: frame slice XOR in-page slice."""
+        frame = line >> self._page_line_bits
+        frame_slice = self._frame_slices.get(frame)
+        if frame_slice is None:
+            frame_slice = self._frame_slices[frame] = self.slice_hash.slice_of(frame * PAGE_SIZE)
+        return frame_slice ^ self._in_page_slices[line & self._page_line_mask]
+
     def llc_slice(self, paddr: int) -> Cache:
         """The LLC slice responsible for ``paddr``."""
-        return self.llc[self.slice_hash.slice_of(paddr)]
+        return self.llc[self._slice_of_line(paddr >> self._line_shift)]
 
     def llc_set_index(self, paddr: int) -> tuple[int, int]:
         """(slice id, set index) pair for ``paddr`` — the Prime+Probe target."""
-        slice_id = self.slice_hash.slice_of(paddr)
+        slice_id = self._slice_of_line(paddr >> self._line_shift)
         return slice_id, self.llc[slice_id].set_index(paddr)
 
     def access(self, paddr: int) -> AccessResult:
-        """Perform a demand load of ``paddr``, filling caches on the way."""
+        """Perform a demand load of ``paddr``, filling caches on the way.
+
+        One pass down the levels with one line number: a hit refreshes the
+        line's LRU position, and every level above the one that served the
+        access is filled, evicting its least recently used line if full.
+        """
         self.demand_accesses += 1
+        line = paddr >> self._line_shift
         prefetched = self._prefetched_lines
-        if prefetched:
-            line = paddr & self._line_mask
-            if line in prefetched:
-                prefetched.discard(line)
-                self.prefetch_useful += 1
+        if prefetched and line in prefetched:
+            prefetched.discard(line)
+            self.prefetch_useful += 1
         l1 = self.l1
-        if l1.lookup(paddr):
+        l1_set = l1.sets[line & l1.set_mask]
+        if line in l1_set:
+            del l1_set[line]
+            l1_set[line] = None
+            l1.hits += 1
             return self._l1_hit
+        l1.misses += 1
         l2 = self.l2
-        if l2.lookup(paddr):
-            l1.insert(paddr)
-            return self._l2_hit
-        # The slice hash (``SliceHash.slice_of``), inline.
-        slice_id = 0
-        for bit, mask in self._slice_masks:
-            slice_id |= ((paddr & mask).bit_count() & 1) << bit
-        llc = self.llc[slice_id]
-        if llc.lookup(paddr):
-            l2.insert(paddr)
-            l1.insert(paddr)
-            return self._llc_hit
-        self._fill_from_dram(paddr, llc, into_l1=True)
-        return self._dram_miss
+        l2_set = l2.sets[line & l2.set_mask]
+        if line in l2_set:
+            del l2_set[line]
+            l2_set[line] = None
+            l2.hits += 1
+            result = self._l2_hit
+        else:
+            l2.misses += 1
+            llc = self.llc[self._slice_of_line(line)]
+            llc_set = llc.sets[line & llc.set_mask]
+            if line in llc_set:
+                del llc_set[line]
+                llc_set[line] = None
+                llc.hits += 1
+                result = self._llc_hit
+            else:
+                llc.misses += 1
+                if len(llc_set) >= llc.ways:
+                    self._evict_llc_lru(llc_set)
+                llc_set[line] = None
+                result = self._dram_miss
+            if len(l2_set) >= l2.ways:
+                del l2_set[next(iter(l2_set))]
+            l2_set[line] = None
+        if len(l1_set) >= l1.ways:
+            del l1_set[next(iter(l1_set))]
+        l1_set[line] = None
+        return result
 
     def insert_prefetch(self, paddr: int) -> None:
         """Install a prefetched line.
@@ -124,35 +175,48 @@ class CacheHierarchy:
         120-cycle threshold.
         """
         self.prefetch_fills += 1
-        self._fill_from_dram(paddr, self.llc_slice(paddr), into_l1=False)
-        self._prefetched_lines.add(self.l1.line_address(paddr))
+        line = paddr >> self._line_shift
+        llc = self.llc[self._slice_of_line(line)]
+        llc_set = llc.sets[line & llc.set_mask]
+        if line in llc_set:
+            del llc_set[line]
+        elif len(llc_set) >= llc.ways:
+            self._evict_llc_lru(llc_set)
+        llc_set[line] = None
+        l2 = self.l2
+        l2_set = l2.sets[line & l2.set_mask]
+        if line in l2_set:
+            del l2_set[line]
+        elif len(l2_set) >= l2.ways:
+            del l2_set[next(iter(l2_set))]
+        l2_set[line] = None
+        self._prefetched_lines.add(line)
         if self.tracer.enabled:
             from repro.obs.events import PrefetchFill
 
             self.tracer.emit(PrefetchFill(cycle=self.clock(), paddr=paddr))
 
-    def _fill_from_dram(self, paddr: int, llc: Cache, into_l1: bool) -> None:
-        evicted = llc.insert(paddr)
-        if evicted is not None:
-            # Inclusive LLC: a line leaving the LLC leaves the core caches too.
-            self.l1.invalidate(evicted)
-            self.l2.invalidate(evicted)
-            if evicted in self._prefetched_lines:
-                self._prefetched_lines.discard(evicted)
-                self.prefetch_useless += 1
-        self.l2.insert(paddr)
-        if into_l1:
-            self.l1.insert(paddr)
+    def _evict_llc_lru(self, llc_set: dict[int, None]) -> None:
+        """Evict the LRU line of a full LLC set, and by inclusion from L1/L2."""
+        line = next(iter(llc_set))
+        del llc_set[line]
+        self._drop_from_core(line)
 
-    def clflush(self, paddr: int) -> None:
-        """Flush the line containing ``paddr`` from the whole hierarchy."""
-        self.l1.invalidate(paddr)
-        self.l2.invalidate(paddr)
-        self.llc_slice(paddr).invalidate(paddr)
-        line = self.l1.line_address(paddr)
+    def _drop_from_core(self, line: int) -> None:
+        """Remove ``line`` from L1 and L2; an untouched prefetch is useless."""
+        l1, l2 = self.l1, self.l2
+        l1.sets[line & l1.set_mask].pop(line, None)
+        l2.sets[line & l2.set_mask].pop(line, None)
         if line in self._prefetched_lines:
             self._prefetched_lines.discard(line)
             self.prefetch_useless += 1
+
+    def clflush(self, paddr: int) -> None:
+        """Flush the line containing ``paddr`` from the whole hierarchy."""
+        line = paddr >> self._line_shift
+        llc = self.llc[self._slice_of_line(line)]
+        llc.sets[line & llc.set_mask].pop(line, None)
+        self._drop_from_core(line)
 
     def contains(self, paddr: int) -> MemoryLevel | None:
         """Highest level currently holding ``paddr`` (non-mutating)."""

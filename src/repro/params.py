@@ -143,6 +143,14 @@ class MachineParams:
     def __post_init__(self) -> None:
         if self.llc_slices <= 0:
             raise ValueError(f"llc_slices must be positive, got {self.llc_slices}")
+        line_sizes = {level.line_size for level in (self.l1d, self.l2, self.llc)}
+        if len(line_sizes) != 1:
+            # Inclusion back-invalidates by line: a smaller core-cache line
+            # would leave part of an evicted LLC line resident (§5.1).
+            raise ValueError(
+                "L1D, L2 and LLC must share one line size, got "
+                f"{self.l1d.line_size}/{self.l2.line_size}/{self.llc.line_size}"
+            )
         if self.dram_latency <= self.llc.latency:
             raise ValueError("DRAM latency must exceed LLC latency")
         if not self.llc.latency < self.llc_hit_threshold < self.dram_latency:

@@ -191,16 +191,26 @@ class HierarchyChecker:
 
     @staticmethod
     def _check_set_consistency(name: str, cache: Cache, cycle: int | None) -> None:
-        for index in range(cache.n_sets):
-            occupancy = cache.set_occupancy(index)
-            if occupancy > cache.ways:
+        """Each set holds at most ``ways`` lines, all of which map to it."""
+        set_mask = cache.set_mask
+        for index, lines in enumerate(cache.sets):
+            if len(lines) > cache.ways:
                 raise InvariantViolation(
                     "hierarchy",
                     "set-bookkeeping",
-                    f"{name} set {index}: {occupancy} lines in {cache.ways} ways",
+                    f"{name} set {index}: {len(lines)} lines in {cache.ways} ways",
                     cycle,
                     {"cache": name, "set": index},
                 )
+            for line in lines:
+                if line & set_mask != index:
+                    raise InvariantViolation(
+                        "hierarchy",
+                        "set-bookkeeping",
+                        f"{name} set {index} holds line {line:#x} of set {line & set_mask}",
+                        cycle,
+                        {"cache": name, "set": index, "line": line},
+                    )
 
 
 class TLBChecker:

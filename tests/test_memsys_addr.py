@@ -82,43 +82,46 @@ def test_same_block_matches_adjacent_prefetcher_formula() -> None:
 
 @pytest.mark.parametrize("line_size,n_sets", [(64, 64), (64, 1024), (32, 16)])
 def test_set_index_and_tag_match_cache_formulas(line_size: int, n_sets: int) -> None:
+    """The set index is the low bits of the line number, and the tag (the
+    bits above them) is what a line-keyed set tells its lines apart by."""
     for paddr in ADDRS:
-        line = paddr // line_size
-        assert addr.set_index(paddr, line_size, n_sets) == line % n_sets
-        assert addr.cache_tag(paddr, line_size, n_sets) == line // n_sets
+        line = addr.line_index(paddr, line_size)
+        assert line == paddr // line_size
+        index = addr.set_index(paddr, line_size, n_sets)
+        assert index == line % n_sets
+        assert divmod(line, n_sets) == (line // n_sets, index)
 
 
 @pytest.mark.parametrize("line_size,n_sets", [(64, 64), (64, 1024), (32, 16)])
 def test_tag_round_trips_to_line_base(line_size: int, n_sets: int) -> None:
+    """``(tag, set index)`` reassembles to the line number, and the line
+    number to the line's start address."""
     for paddr in ADDRS:
-        index = addr.set_index(paddr, line_size, n_sets)
-        tag = addr.cache_tag(paddr, line_size, n_sets)
-        assert addr.tag_to_line_base(tag, index, line_size, n_sets) == addr.line_base(
-            paddr, line_size
-        )
+        line = addr.line_index(paddr, line_size)
+        tag, index = line // n_sets, addr.set_index(paddr, line_size, n_sets)
+        assert tag * n_sets + index == line
+        assert addr.line_addr(line, line_size) == addr.line_base(paddr, line_size)
 
 
 @pytest.mark.parametrize("line_size,n_sets", [(64, 64), (64, 1024), (32, 16)])
 def test_cache_shift_mask_matches_addr_helpers(line_size: int, n_sets: int) -> None:
-    """``Cache`` derives set, tag and line address by shift and mask; pin
-    each against the division formulas of :mod:`repro.memsys.addr`."""
+    """``Cache`` keys each set by line number, derived by shift and mask;
+    pin the set it picks, the key it stores and the address it evicts
+    against the division formulas of :mod:`repro.memsys.addr`."""
     ways = 2
     geometry = CacheGeometry(name="pin", sets=n_sets, ways=ways, latency=4, line_size=line_size)
     for paddr in ADDRS:
         cache = Cache(geometry)
+        line = addr.line_index(paddr, line_size)
         index = addr.set_index(paddr, line_size, n_sets)
-        tag = addr.cache_tag(paddr, line_size, n_sets)
         assert cache.set_index(paddr) == index
         assert cache.line_address(paddr) == addr.line_base(paddr, line_size)
         cache.insert(paddr)
-        assert list(cache._sets[index]) == [tag]
-        assert list(cache.resident_lines()) == [
-            addr.tag_to_line_base(tag, index, line_size, n_sets)
-        ]
-        # Fill the set with other tags: the first fill past capacity evicts
-        # ``paddr``'s line, reassembled from (tag, set index).
-        others = [
-            addr.tag_to_line_base(tag + k, index, line_size, n_sets) for k in range(1, ways + 1)
-        ]
+        assert cache.sets[index] == {line: None}
+        assert list(cache.resident_lines()) == [addr.line_addr(line, line_size)]
+        # Fill the set with other lines of the same set: the first fill past
+        # capacity evicts ``paddr``'s line, returned as its start address.
+        others = [addr.line_addr(line + k * n_sets, line_size) for k in range(1, ways + 1)]
         evicted = [cache.insert(other) for other in others]
         assert evicted == [None] * (ways - 1) + [addr.line_base(paddr, line_size)]
+        assert list(cache.sets[index]) == [line + k * n_sets for k in range(1, ways + 1)]

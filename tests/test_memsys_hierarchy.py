@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.memsys.cache import Cache
 from repro.memsys.hierarchy import CacheHierarchy, MemoryLevel
 from repro.memsys.slice_hash import SliceHash
-from repro.params import COFFEE_LAKE_I7_9700, HASWELL_I7_4770
+from repro.params import CACHE_LINE_SIZE, COFFEE_LAKE_I7_9700, HASWELL_I7_4770, CacheGeometry
 from repro.utils.rng import make_rng
 
 
@@ -168,3 +169,139 @@ class TestSliceHash:
         h = SliceHash(8)
         line_start = (addr // 64) * 64
         assert h.slice_of(line_start) == h.slice_of(line_start + 63)
+
+
+class TestSliceTable:
+    @pytest.mark.parametrize("n_slices", [1, 2, 4, 8])
+    def test_table_matches_slice_hash(self, n_slices):
+        """Frame slice XOR in-page slice equals ``SliceHash.slice_of``."""
+        params = dataclasses.replace(COFFEE_LAKE_I7_9700, llc_slices=n_slices)
+        hierarchy = CacheHierarchy(params)
+        reference = SliceHash(n_slices)
+        for paddr in make_rng(n_slices).integers(0, 2**36, 10_000).tolist():
+            slice_id = reference.slice_of(paddr)
+            assert hierarchy.llc_set_index(paddr)[0] == slice_id, hex(paddr)
+            assert hierarchy.llc_slice(paddr) is hierarchy.llc[slice_id]
+
+
+class _ReferenceHierarchy:
+    """The per-level composition the one-pass ``access`` replaced.
+
+    Each level is driven only through ``Cache.lookup``/``insert``/
+    ``invalidate`` with byte addresses, the LLC slice comes from
+    ``SliceHash.slice_of``, and an LLC eviction back-invalidates L1 and L2.
+    """
+
+    def __init__(self, params):
+        self.l1 = Cache(params.l1d)
+        self.l2 = Cache(params.l2)
+        self.slice_hash = SliceHash(params.llc_slices)
+        self.llc = [Cache(params.llc) for _ in range(params.llc_slices)]
+        self.line_size = params.l1d.line_size
+        self.prefetched: set[int] = set()
+        self.demand_accesses = self.prefetch_fills = 0
+        self.prefetch_useful = self.prefetch_useless = 0
+
+    def _lose(self, line):
+        if line in self.prefetched:
+            self.prefetched.discard(line)
+            self.prefetch_useless += 1
+
+    def _fill_from_dram(self, paddr, llc, into_l1):
+        evicted = llc.insert(paddr)
+        if evicted is not None:
+            self.l1.invalidate(evicted)
+            self.l2.invalidate(evicted)
+            self._lose(evicted)
+        self.l2.insert(paddr)
+        if into_l1:
+            self.l1.insert(paddr)
+
+    def access(self, paddr):
+        self.demand_accesses += 1
+        line = paddr & -self.line_size
+        if line in self.prefetched:
+            self.prefetched.discard(line)
+            self.prefetch_useful += 1
+        if self.l1.lookup(paddr):
+            return MemoryLevel.L1
+        if self.l2.lookup(paddr):
+            self.l1.insert(paddr)
+            return MemoryLevel.L2
+        llc = self.llc[self.slice_hash.slice_of(paddr)]
+        if llc.lookup(paddr):
+            self.l2.insert(paddr)
+            self.l1.insert(paddr)
+            return MemoryLevel.LLC
+        self._fill_from_dram(paddr, llc, into_l1=True)
+        return MemoryLevel.DRAM
+
+    def insert_prefetch(self, paddr):
+        self.prefetch_fills += 1
+        self._fill_from_dram(paddr, self.llc[self.slice_hash.slice_of(paddr)], into_l1=False)
+        self.prefetched.add(paddr & -self.line_size)
+
+    def clflush(self, paddr):
+        self.l1.invalidate(paddr)
+        self.l2.invalidate(paddr)
+        self.llc[self.slice_hash.slice_of(paddr)].invalidate(paddr)
+        self._lose(paddr & -self.line_size)
+
+
+def _tiny_params(n_slices, line_size):
+    """Few sets and ways, so short streams evict at every level.
+
+    The LLC sets are the smallest, so lines often leave the LLC while the
+    L1 or L2 still holds them: the back-invalidation path runs often.
+    """
+    return dataclasses.replace(
+        COFFEE_LAKE_I7_9700,
+        l1d=CacheGeometry(name="L1D", sets=2, ways=2, latency=4, line_size=line_size),
+        l2=CacheGeometry(name="L2", sets=2, ways=4, latency=14, line_size=line_size),
+        llc=CacheGeometry(name="LLC", sets=4, ways=2, latency=42, line_size=line_size),
+        llc_slices=n_slices,
+    )
+
+
+# Line numbers: a few low lines in each of a few frames spread over the
+# 36-bit physical space, so slices and sets both collide often.
+_LINES = st.builds(
+    lambda low, high: high | low,
+    st.integers(0, 23),
+    st.sampled_from([0, 1 << 10, 1 << 16, 1 << 22, 1 << 29]),
+)
+_HIERARCHY_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["access"] * 6 + ["insert_prefetch"] * 2 + ["clflush"]),
+        _LINES,
+        st.integers(0, CACHE_LINE_SIZE - 1),
+    ),
+    max_size=250,
+)
+
+
+def _state(h):
+    caches = [("L1", h.l1), ("L2", h.l2)] + [(f"LLC{i}", c) for i, c in enumerate(h.llc)]
+    counters = [h.demand_accesses, h.prefetch_fills, h.prefetch_useful, h.prefetch_useless]
+    counters += [(cache.hits, cache.misses) for _, cache in caches]
+    resident = {name: [list(lines) for lines in cache.sets] for name, cache in caches}
+    return counters, resident
+
+
+@pytest.mark.parametrize("line_size", [32, CACHE_LINE_SIZE])
+@pytest.mark.parametrize("n_slices", [1, 2, 4, 8])
+@settings(max_examples=100, deadline=None)
+@given(ops=_HIERARCHY_OPS)
+def test_one_pass_hierarchy_matches_per_level_reference(n_slices, line_size, ops):
+    """Same served level per access, every counter, and every set's
+    resident lines in LRU order, for any access/prefetch/flush stream."""
+    params = _tiny_params(n_slices, line_size)
+    hierarchy, reference = CacheHierarchy(params), _ReferenceHierarchy(params)
+    for op, line, offset in ops:
+        paddr = line * line_size + offset % line_size
+        if op == "access":
+            assert hierarchy.access(paddr).level is reference.access(paddr), (op, hex(paddr))
+        else:
+            getattr(hierarchy, op)(paddr)
+            getattr(reference, op)(paddr)
+        assert _state(hierarchy) == _state(reference), (op, hex(paddr))

@@ -84,6 +84,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             dataclasses.replace(COFFEE_LAKE_I7_9700, dram_latency=40)
 
+    @pytest.mark.parametrize("level", ["l1d", "l2", "llc"])
+    def test_mixed_line_sizes_rejected(self, level):
+        # With a 32 B L1 under a 64 B LLC, evicting LLC line X would leave
+        # X + 32 resident in the L1 and break inclusion (§5.1).
+        narrow = dataclasses.replace(getattr(COFFEE_LAKE_I7_9700, level), line_size=32)
+        with pytest.raises(ValueError, match="line size"):
+            dataclasses.replace(COFFEE_LAKE_I7_9700, **{level: narrow})
+
+    def test_one_shared_line_size_accepted(self):
+        params = dataclasses.replace(
+            COFFEE_LAKE_I7_9700,
+            **{
+                level: dataclasses.replace(getattr(COFFEE_LAKE_I7_9700, level), line_size=32)
+                for level in ("l1d", "l2", "llc")
+            },
+        )
+        assert {params.l1d.line_size, params.l2.line_size, params.llc.line_size} == {32}
+
     def test_geometry_capacity(self):
         geometry = CacheGeometry(name="L1D", sets=64, ways=8, latency=4)
         assert geometry.capacity_bytes == 32 * 1024

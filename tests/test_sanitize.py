@@ -174,10 +174,25 @@ class TestHierarchyInvariants:
         paddr = ctx.space.translate(buf.page_line_addr(1, 0))
         machine.load(ctx, 0x40_9000, buf.page_line_addr(1, 0))
         l1 = machine.hierarchy.l1
-        lines = l1._sets[l1.set_index(paddr)]  # repro: noqa[RL005]
-        # Overfill the set behind the LRU's back: more lines than ways.
-        for extra in range(l1.ways):
-            lines[-1 - extra] = None  # deliberate corruption
+        index = l1.set_index(paddr)
+        lines = l1.sets[index]
+        # Overfill the set behind the LRU's back: more lines than ways, each
+        # a line of this set.
+        for extra in range(1, l1.ways + 1):
+            lines[(paddr >> l1.line_shift) + extra * l1.n_sets] = None  # deliberate corruption
+        assert l1.set_occupancy(index) > l1.ways
+        expect_violation(machine, "set-bookkeeping")
+
+    def test_line_filed_in_wrong_set(self):
+        machine, ctx, buf = trained_machine()
+        paddr = ctx.space.translate(buf.page_line_addr(1, 0))
+        machine.load(ctx, 0x40_9000, buf.page_line_addr(1, 0))
+        l2 = machine.hierarchy.l2
+        line = paddr >> l2.line_shift
+        wrong = (l2.set_index(paddr) + 1) % l2.n_sets
+        # One line under capacity, but keyed into a set it does not map to.
+        l2.sets[wrong][line] = None  # deliberate corruption
+        assert l2.set_occupancy(wrong) <= l2.ways
         expect_violation(machine, "set-bookkeeping")
 
 
