@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-sanitize lint lint-fast lint-json lint-changed leakcheck leakcheck-scan bench bench-figures campaign campaign-smoke fleet-smoke kernel-equivalence perfbench-check check
+.PHONY: test test-sanitize lint lint-fast lint-json lint-changed leakcheck leakcheck-scan bench-figures campaign campaign-smoke fleet-smoke kernel-equivalence perfbench-check check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -42,29 +42,6 @@ leakcheck-scan:
 			echo "positive control failed: fixture scan exited $$rc, want 1"; exit 1; \
 		else echo "positive control: planted fixture flagged (exit 1)"; fi
 
-# Per-attack wall-clock / simulated-cycle totals -> BENCH_obs.json, plus
-# the serial-vs-parallel executor comparison -> BENCH_attacks.json, the
-# cold-vs-warm campaign store comparison -> BENCH_campaign.json and the
-# cross-process telemetry contract -> BENCH_telemetry.json and the
-# serving-layer latency contract -> BENCH_serve.json.
-# Pre-existing artifacts are snapshotted to *.baseline and diffed with the
-# regression gate (generous tolerance: same-machine wall clocks still
-# wobble under load; the determinism fields are compared exactly
-# regardless).
-BENCH_ARTIFACTS := BENCH_obs.json BENCH_attacks.json BENCH_campaign.json BENCH_telemetry.json BENCH_serve.json
-
-bench:
-	@for f in $(BENCH_ARTIFACTS); do \
-		if [ -f $$f ]; then cp $$f $$f.baseline; fi; done
-	$(PYTHON) benchmarks/bench_obs.py --out BENCH_obs.json --attacks-out BENCH_attacks.json --jobs 2
-	$(PYTHON) benchmarks/bench_campaign.py --out BENCH_campaign.json --jobs 2
-	$(PYTHON) benchmarks/bench_telemetry.py --out BENCH_telemetry.json --jobs 2
-	$(PYTHON) benchmarks/bench_serve.py --out BENCH_serve.json --jobs 2
-	@for f in $(BENCH_ARTIFACTS); do \
-		if [ -f $$f.baseline ]; then \
-			$(PYTHON) -m repro bench compare $$f.baseline $$f --tolerance 0.5 || exit 1; \
-		fi; done
-
 # The three paper-evaluation grids, cached and resumable in .campaign-store
 # (re-run `make campaign` after an interrupt: finished cells are not redone).
 campaign:
@@ -72,15 +49,23 @@ campaign:
 	$(PYTHON) -m repro.cli campaign run attacks-vs-noise --store .campaign-store --jobs 2
 	$(PYTHON) -m repro.cli campaign run defense-matrix --store .campaign-store --jobs 2
 
-# The CI smoke: a tiny campaign twice; the second pass must be 100% cache
-# hits with byte-identical aggregates (asserted inside the benchmark).
+# The CI smoke (mirrors the CI `campaign-smoke` job): a tiny campaign run
+# twice into one store; the second pass must execute nothing.  Byte-identical
+# warm aggregates are pinned by tests/test_campaign_runner.py.
+CAMPAIGN_SMOKE_ARGS := attacks-vs-noise --attacks variant1,sgx --rounds 3 --repeats 1
 campaign-smoke:
-	$(PYTHON) benchmarks/bench_campaign.py --out BENCH_campaign.json --campaign attacks-vs-noise --attacks variant1,sgx --rounds 3 --store campaign-smoke-store
+	rm -rf campaign-smoke-store
+	$(PYTHON) -m repro.cli campaign run $(CAMPAIGN_SMOKE_ARGS) --store campaign-smoke-store --jobs 2
+	$(PYTHON) -m repro.cli campaign run $(CAMPAIGN_SMOKE_ARGS) --store campaign-smoke-store --jobs 2 \
+		| tee campaign-smoke-store/warm.txt
+	grep -q "cached, 0 executed, 0 failed" campaign-smoke-store/warm.txt
+	$(PYTHON) -m repro.cli campaign status $(CAMPAIGN_SMOKE_ARGS) --store campaign-smoke-store \
+		| grep -q "a run would execute nothing"
+	@echo "campaign-smoke: the warm pass executed nothing"
 
 # Fleet fill in miniature (mirrors the CI `fleet-smoke` job): the 24-cell
 # attacks-vs-noise grid filled serially and by two --shard workers in
-# parallel, workers merged, and the two aggregates diffed byte-for-byte;
-# then the serving-layer latency contract over the merged store.
+# parallel, workers merged, and the two aggregates diffed byte-for-byte.
 FLEET_SMOKE_ARGS := attacks-vs-noise --repeats 1 --rounds 6
 fleet-smoke:
 	rm -rf fleet-smoke-store
@@ -93,8 +78,6 @@ fleet-smoke:
 	$(PYTHON) -m repro.cli campaign aggregate $(FLEET_SMOKE_ARGS) --store fleet-smoke-store/merged -o fleet-smoke-store/merged.agg.json
 	cmp fleet-smoke-store/serial.agg.json fleet-smoke-store/merged.agg.json
 	@echo "fleet-smoke: sharded fill + merge is byte-identical to the serial run"
-	$(PYTHON) benchmarks/bench_serve.py --out BENCH_serve.ci.json --rounds 6 --attacks variant1,covert --readers 20 --requests-per-reader 3
-	@rm -f BENCH_serve.ci.json
 
 # The kernel refactor gate: the differential suite (golden traces and
 # aggregates).  Mirrors the CI `kernel-equivalence` job.
@@ -120,7 +103,7 @@ perfbench-check:
 				rm -f perfbench-check.log; exit 1; }; \
 	done; done; rm -f perfbench-check.log; echo "perfbench-check: all workloads correct"
 
-# The paper-figure pytest benchmarks (the old `make bench`).
+# The paper-figure pytest benchmarks.
 bench-figures:
 	$(PYTHON) -m pytest benchmarks -q
 

@@ -13,8 +13,8 @@ Runs a (scaled-down) attack matrix through the instrumented
 * a Chrome ``trace_event`` file is written with one labeled process lane
   per worker — load it in chrome://tracing or https://ui.perfetto.dev.
 
-The same data answers the `BENCH_attacks.json` puzzle (speedup < 1 at
-``--jobs 2`` on a one-core container): the dominant bucket is compute
+The same data answers the speedup-below-1 puzzle (``--jobs 2`` on a
+one-core container, EXPERIMENTS.md "Where the parallel time goes"): the dominant bucket is compute
 inflation from timesharing, not pickling or queueing.
 
 Run:  python examples/perf_timeline.py [--jobs N] [--out perf.trace.json]

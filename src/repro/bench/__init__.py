@@ -1,37 +1,12 @@
-"""repro.bench: provenance-stamped benchmark artifacts and the regression gate.
+"""repro.bench: the provenance stamp for benchmark artifacts.
 
-Every ``BENCH_*.json`` emitter stamps its document with
-:func:`~repro.bench.provenance.provenance` — git revision, timestamp,
-python version, and the host identity fields — and
-``afterimage bench compare <baseline> <current>`` (:mod:`repro.bench.compare`)
-diffs two artifacts of the same kind with configurable tolerance and
-lint-style exit codes, refusing cross-machine comparisons unless told
-otherwise.  ``make bench`` and the CI ``perf-telemetry`` job run the
-gate, so the executor regression tracked in ``BENCH_attacks.json`` is a
-gated number instead of a footnote.
+:func:`~repro.bench.provenance.provenance` records where and when a
+benchmark document was produced — git revision, timestamp, python
+version and host fields.  ``perfbench/run.py`` embeds it in every
+result it writes, so a wall-clock number is never read without the
+machine it came from.
 """
 
-from repro.bench.compare import (
-    CompareFinding,
-    CompareReport,
-    EXIT_INTERNAL,
-    EXIT_OK,
-    EXIT_REGRESSION,
-    EXIT_USAGE,
-    compare_documents,
-    compare_files,
-)
-from repro.bench.provenance import MACHINE_IDENTITY_FIELDS, provenance
+from repro.bench.provenance import provenance
 
-__all__ = [
-    "CompareFinding",
-    "CompareReport",
-    "EXIT_INTERNAL",
-    "EXIT_OK",
-    "EXIT_REGRESSION",
-    "EXIT_USAGE",
-    "MACHINE_IDENTITY_FIELDS",
-    "compare_documents",
-    "compare_files",
-    "provenance",
-]
+__all__ = ["provenance"]

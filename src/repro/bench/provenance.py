@@ -1,11 +1,10 @@
 """Provenance stamps for benchmark artifacts.
 
 A wall-clock number is only comparable to another wall-clock number from
-the *same* machine; a ``BENCH_*.json`` without provenance invites exactly
-that silent cross-machine diff.  :func:`provenance` captures where and
-when an artifact was produced so :mod:`repro.bench.compare` can refuse
-incomparable pairs, and leaves an audit trail (git revision, timestamp)
-for the ones it accepts.
+the *same* machine; an artifact without provenance invites exactly that
+silent cross-machine diff.  :func:`provenance` captures where and when an
+artifact was produced (host fields, git revision, timestamp), so a reader
+can tell which numbers are comparable.
 
 This module is deliberately host-facing: wall-clock reads are the point
 (the lint exemptions say so inline), and none of these values may ever
@@ -20,9 +19,6 @@ import socket
 import subprocess
 from datetime import datetime, timezone
 from typing import Any
-
-#: The fields two artifacts must agree on to be wall-clock comparable.
-MACHINE_IDENTITY_FIELDS = ("hostname", "platform", "python", "cpu_count")
 
 
 def git_revision(cwd: str | None = None) -> str:
@@ -43,7 +39,7 @@ def git_revision(cwd: str | None = None) -> str:
 
 
 def provenance() -> dict[str, Any]:
-    """The stamp every ``BENCH_*.json`` emitter embeds under ``"provenance"``."""
+    """The stamp a benchmark artifact embeds under ``"provenance"``."""
     return {
         "git_rev": git_revision(),
         "timestamp": datetime.now(timezone.utc).isoformat(  # repro: noqa[RL003] — artifact stamp, not model state
@@ -55,9 +51,3 @@ def provenance() -> dict[str, Any]:
         "cpu_count": os.cpu_count() or 1,
     }
 
-
-def identity(stamp: dict[str, Any] | None) -> dict[str, Any] | None:
-    """The machine-identity slice of a provenance stamp (None if absent)."""
-    if not isinstance(stamp, dict):
-        return None
-    return {field: stamp.get(field) for field in MACHINE_IDENTITY_FIELDS}

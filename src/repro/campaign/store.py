@@ -55,8 +55,6 @@ class TrialStore:
         #: Lines skipped as unreadable since this handle was opened.
         self.corrupt_lines = 0
         self._cache: dict[str, dict[str, dict[str, Any]]] = {}
-        #: Shard file signature at load time, for :meth:`refresh`.
-        self._signatures: dict[str, tuple[int, int] | None] = {}
 
     def _marker(self) -> None:
         marker = self.root / "store.json"
@@ -77,22 +75,12 @@ class TrialStore:
     def _shard_path(self, shard: str) -> Path:
         return self.shards_dir / f"{shard}.jsonl"
 
-    @staticmethod
-    def _file_signature(path: Path) -> tuple[int, int] | None:
-        """(mtime_ns, size) of a shard file, or None when absent."""
-        try:
-            stat = path.stat()
-        except OSError:
-            return None
-        return (stat.st_mtime_ns, stat.st_size)
-
     def _load_shard(self, shard: str) -> dict[str, dict[str, Any]]:
         """Parse one shard into ``key -> record``, skipping bad lines."""
         if shard in self._cache:
             return self._cache[shard]
         records: dict[str, dict[str, Any]] = {}
         path = self._shard_path(shard)
-        self._signatures[shard] = self._file_signature(path)
         if path.exists():
             for line in path.read_text().splitlines():
                 if not line.strip():
@@ -115,10 +103,8 @@ class TrialStore:
         lines = "".join(
             json.dumps(records[key], sort_keys=True) + "\n" for key in sorted(records)
         )
-        path = self._shard_path(shard)
-        _atomic_write(path, lines)
+        _atomic_write(self._shard_path(shard), lines)
         self._cache[shard] = records
-        self._signatures[shard] = self._file_signature(path)
 
     # ----------------------------------------------------------------- #
     # Public API                                                         #
@@ -191,26 +177,6 @@ class TrialStore:
             merged = dict(self._load_shard(shard))
             merged.update(fresh)
             self._write_shard(shard, merged)
-
-    def refresh(self) -> int:
-        """Drop cached shards whose backing file changed; returns the count.
-
-        Long-lived readers (the fleet serving layer) call this per request:
-        one ``stat`` per cached shard notices a concurrent fill or merge —
-        each an atomic whole-file replace — and invalidates exactly the
-        shards that moved, so a daemon never serves a stale cell without
-        ever re-reading unchanged files.
-        """
-        stale = [
-            shard
-            for shard in self._cache
-            if self._file_signature(self._shard_path(shard))
-            != self._signatures.get(shard)
-        ]
-        for shard in stale:
-            del self._cache[shard]
-            self._signatures.pop(shard, None)
-        return len(stale)
 
 
 def _atomic_write(path: Path, text: str) -> None:

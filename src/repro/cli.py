@@ -22,9 +22,7 @@ Installed as the ``afterimage`` console script::
     afterimage campaign status defense-matrix
     afterimage campaign report revng-table1 -o campaign.md
     afterimage campaign aggregate attacks-vs-noise --store merged
-    afterimage serve merged --port 8314
     afterimage perf --suite --jobs 2 --format json
-    afterimage bench compare BENCH_attacks.json BENCH_new.json
 
 Each subcommand prints the corresponding figure/table series, like the
 benchmark suite, but without pytest in the loop.  The attack subcommands
@@ -363,28 +361,6 @@ def cmd_perf(params: MachineParams, args: argparse.Namespace) -> None:
         sys.exit(1)
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """`afterimage bench compare`: the artifact regression gate
-    (early dispatch: artifacts carry their own machine identity)."""
-    from repro.bench import EXIT_INTERNAL, compare_files
-
-    try:
-        report = compare_files(
-            args.baseline,
-            args.current,
-            tolerance=args.tolerance,
-            allow_cross_machine=args.allow_cross_machine,
-        )
-    except Exception as exc:  # the gate must never crash the caller silently
-        print(f"bench compare: internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    if args.format == "json":
-        print(json.dumps(report.as_dict(), indent=2))
-    else:
-        print(report.render_text())
-    return report.exit_code
-
-
 def _spec_overrides(args: argparse.Namespace) -> dict:
     """The ``--rounds``/``--repeats``/``--attacks``/``--base-seed`` shrinkers."""
     overrides: dict = {}
@@ -554,54 +530,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 0 if result.complete else 1
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """`afterimage serve <store>`: the fleet read-mostly HTTP daemon."""
-    import asyncio
-
-    from repro.campaign import BUILTIN_CAMPAIGNS, load_spec
-    from repro.fleet.server import FleetServer
-
-    import dataclasses
-
-    overrides = _spec_overrides(args)
-    campaigns = {}
-    for spec in BUILTIN_CAMPAIGNS.values():
-        campaigns[spec.name] = (
-            dataclasses.replace(spec, **overrides) if overrides else spec
-        )
-    for path in args.spec or []:
-        spec = load_spec(path)
-        campaigns[spec.name] = (
-            dataclasses.replace(spec, **overrides) if overrides else spec
-        )
-    try:
-        server = FleetServer(
-            args.store,
-            campaigns=campaigns,
-            host=args.host,
-            port=args.port,
-            cache_capacity=args.cache_size,
-        )
-    except ValueError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-
-    async def _run() -> None:
-        await server.start()
-        print(
-            f"serving {args.store} on http://{server.host}:{server.port} "
-            f"({len(campaigns)} campaigns; /healthz /metrics /cells "
-            "/cell/<key> /aggregate/<campaign> /report/<campaign>)"
-        )
-        await server.serve_forever()
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
 def cmd_trace(params: MachineParams, args: argparse.Namespace) -> None:
     from repro.obs.runner import run_attack
     from repro.obs.sinks import ChromeTraceSink, RingBufferSink
@@ -746,47 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="collect cross-process telemetry; `run` writes a timeline next to the store",
     )
-    serve = sub.add_parser(
-        "serve",
-        help="read-mostly HTTP daemon over a trial store (repro.fleet)",
-    )
-    serve.add_argument("store", help="trial store directory to serve")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8314)
-    serve.add_argument(
-        "--cache-size", type=int, default=256, help="LRU cache entries (default 256)"
-    )
-    serve.add_argument(
-        "--spec",
-        action="append",
-        default=None,
-        metavar="FILE",
-        help="additional .toml/.json campaign spec files to serve (repeatable)",
-    )
-    serve.add_argument("--rounds", type=int, default=None, help="override spec rounds")
-    serve.add_argument("--repeats", type=int, default=None, help="override spec repeats")
-    serve.add_argument(
-        "--attacks", default=None, help="override spec attacks (comma-separated)"
-    )
-    serve.add_argument("--base-seed", type=int, default=None)
-    bench = sub.add_parser(
-        "bench", help="benchmark artifact tools (repro.bench): compare"
-    )
-    bench.add_argument("action", choices=("compare",))
-    bench.add_argument("baseline", help="baseline BENCH_*.json artifact")
-    bench.add_argument("current", help="current BENCH_*.json artifact")
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="relative tolerance for wall-clock-derived numbers (default 0.25)",
-    )
-    bench.add_argument(
-        "--allow-cross-machine",
-        action="store_true",
-        help="diff artifacts from different machines instead of refusing",
-    )
-    bench.add_argument("--format", choices=("text", "json"), default="text")
     for name, (_fn, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         if name in ("variant1", "variant2", "covert"):
@@ -865,12 +752,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "campaign":
             # Campaign specs declare their own machines; early dispatch.
             return cmd_campaign(args)
-        if args.command == "serve":
-            # Serves stored results as-is; no machine model needed.
-            return cmd_serve(args)
-        if args.command == "bench":
-            # Artifacts carry their own machine identity; early dispatch.
-            return cmd_bench(args)
         if args.command == "leakcheck":
             # Pure static analysis, no machine model; same early dispatch.
             from repro.leakcheck.cli import main as leakcheck_main

@@ -1,33 +1,21 @@
-"""repro.fleet: sharded multi-writer campaigns and a read-mostly serving layer.
+"""repro.fleet: sharded multi-writer campaigns.
 
 The campaign substrate (:mod:`repro.campaign`) made experiment grids
-declarative, content-addressed, and resumable — but single-writer, and
-readable only by re-running the campaign.  This package scales both
-directions:
+declarative, content-addressed, and resumable — but single-writer.  This
+package lets any number of workers fill one campaign:
 
-* **Fleet fill** — :mod:`repro.fleet.partition` partitions a campaign's
-  cells deterministically by their SHA-256 content hash
-  (``afterimage campaign run --shard i/n``), so any number of workers
-  fill disjoint, stable slices into their own stores;
-  :mod:`repro.fleet.merge` then unions those stores with hard conflict
+* :mod:`repro.fleet.partition` partitions a campaign's cells
+  deterministically by their SHA-256 content hash
+  (``afterimage campaign run --shard i/n``), so each worker fills a
+  disjoint, stable slice into its own store;
+* :mod:`repro.fleet.merge` then unions those stores with hard conflict
   detection (same hash, differing payload ⇒ refuse, listing both
   provenances) into an aggregate that is byte-identical to a
   single-writer run.
-* **Serving** — :mod:`repro.fleet.server` is a dependency-free asyncio
-  HTTP daemon (``afterimage serve <store>``) exposing cells, aggregates,
-  reports, health and :mod:`repro.obs`-shaped metrics, with an LRU +
-  ETag cache (:mod:`repro.fleet.cache`) keyed on content hashes — the
-  results are immutable by construction, so a warm aggregate is one
-  cache lookup.  :mod:`repro.fleet.client` is the matching stdlib
-  client.
 
-See docs/CAMPAIGN.md §"Fleet mode" for the shard → merge → serve
-walkthrough, and ``benchmarks/bench_serve.py`` for the latency contract
-(warm aggregates under 10 ms).
+See docs/CAMPAIGN.md §"Fleet mode" for the shard → merge walkthrough.
 """
 
-from repro.fleet.cache import CacheEntry, CacheStats, LruCache
-from repro.fleet.client import FleetClient, FleetResponse
 from repro.fleet.merge import (
     MergeConflict,
     MergeConflictError,
@@ -35,23 +23,14 @@ from repro.fleet.merge import (
     merge_stores,
 )
 from repro.fleet.partition import Shard, parse_shard, partition_cells, shard_of_key
-from repro.fleet.server import FleetServer, ServerHandle, start_in_thread
 
 __all__ = [
-    "CacheEntry",
-    "CacheStats",
-    "FleetClient",
-    "FleetResponse",
-    "FleetServer",
-    "LruCache",
     "MergeConflict",
     "MergeConflictError",
     "MergeReport",
     "merge_stores",
     "parse_shard",
     "partition_cells",
-    "ServerHandle",
     "Shard",
     "shard_of_key",
-    "start_in_thread",
 ]

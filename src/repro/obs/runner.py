@@ -1,12 +1,12 @@
 """Shared attack runner for the observability tooling.
 
-`afterimage trace`, `afterimage metrics`, the bench harness
-(``benchmarks/bench_obs.py``) and the CI smoke artifact all need the same
-thing: construct a machine (optionally traced), run one named attack, and
-report a scalar quality figure.  Since the :mod:`repro.attacks` registry
-became the single source of truth this module is a thin compatibility
-shim over :func:`repro.attacks.run_on_machine` — it no longer carries its
-own dispatch table, so every registered attack (including ``sgx`` and
+`afterimage trace`, `afterimage metrics` and the CI smoke artifact all
+need the same thing: construct a machine (optionally traced), run one
+named attack, and report a scalar quality figure.  Since the
+:mod:`repro.attacks` registry became the single source of truth this
+module is a thin compatibility shim over
+:func:`repro.attacks.run_on_machine` — it no longer carries its own
+dispatch table, so every registered attack (including ``sgx`` and
 ``switch-leak``, which the old hand-written table missed) is traceable
 for free.  :class:`AttackRun` keeps the live machine for callers that
 want to poke at its metrics/profile after the run; the full unified

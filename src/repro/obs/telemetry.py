@@ -4,9 +4,9 @@ The single-process :mod:`repro.obs` layers (tracer, metrics, spans) die
 with the pool worker that collected them, which made the parallel
 :class:`~repro.attacks.executor.TrialExecutor` and the
 :class:`~repro.campaign.runner.CampaignRunner` observability black holes:
-``BENCH_attacks.json`` records a 0.911 "speedup" at ``--jobs 2`` and
-nothing in the repo could say where the time went.  This module closes
-that hole:
+a measured 0.911 "speedup" at ``--jobs 2`` (EXPERIMENTS.md, "Where the
+parallel time goes") and nothing in the repo could say where the time
+went.  This module closes that hole:
 
 * :class:`WorkerTelemetry` is captured *inside* each worker (wall window,
   per-span host seconds from the machine profile, simulated cycles) and

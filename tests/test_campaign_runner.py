@@ -8,6 +8,10 @@ from an undisturbed one.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -67,9 +71,10 @@ class CrashAlways:
 
 
 class TestCaching:
-    def test_second_run_is_all_cached_and_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_second_run_is_all_cached_and_byte_identical(self, tmp_path, jobs):
         spec = small_spec()
-        runner = CampaignRunner(TrialStore(tmp_path / "store"))
+        runner = CampaignRunner(TrialStore(tmp_path / "store"), jobs=jobs)
         first = runner.run(spec)
         assert first.complete
         assert first.executed_count == spec.n_cells
@@ -95,6 +100,35 @@ class TestCaching:
         after = campaign_status(spec, store)
         assert after.all_cached
         assert after.as_dict()["pending"] == 0
+
+
+class TestImportFootprint:
+    def test_campaign_run_does_not_load_a_serving_stack(self, tmp_path):
+        """A campaign process needs no event loop and no HTTP client."""
+        script = textwrap.dedent(
+            f"""
+            import sys
+            from repro.campaign import AxisPoint, CampaignRunner, CampaignSpec, TrialStore
+
+            spec = CampaignSpec(
+                name="footprint", attacks=("variant1",), machines=("i7-9700",),
+                axes=(AxisPoint(name="baseline"),), repeats=3, rounds=3,
+            )
+            result = CampaignRunner(TrialStore({str(tmp_path / "store")!r})).run(spec)
+            assert result.complete and result.executed_count == 3, result.as_dict()
+            print(sorted({{"asyncio", "http.client"}} & set(sys.modules)))
+            """
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert out.stdout.strip() == "[]"
 
 
 class TestFaultIsolationAndRetry:

@@ -289,10 +289,6 @@ class TestFleetCli:
         ]) == 2
         assert "not a TrialStore" in capsys.readouterr().err
 
-    def test_serve_refuses_missing_store(self, tmp_path, capsys):
-        assert main(["serve", str(tmp_path / "nowhere")]) == 2
-        assert "not a TrialStore" in capsys.readouterr().err
-
     def test_campaign_spec_file(self, tmp_path, capsys):
         spec_path = tmp_path / "mini.json"
         spec_path.write_text(json.dumps({

@@ -288,17 +288,3 @@ class TestStoreRecordsApi:
         with pytest.raises(ValueError, match="malformed record"):
             TrialStore(tmp_path / "dest").write_records({OTHER_KEY: record})
 
-    def test_refresh_notices_external_writes(self, tmp_path):
-        reader = TrialStore(tmp_path / "store")
-        assert reader.get(KEY) is None  # caches the empty shard
-        writer = TrialStore(tmp_path / "store")
-        writer.put(KEY, make_batch(seed=7))
-        assert reader.get(KEY) is None  # stale handle, by design
-        assert reader.refresh() == 1
-        assert reader.get(KEY).seed == 7
-
-    def test_refresh_on_unchanged_store_is_a_noop(self, tmp_path):
-        store = TrialStore(tmp_path / "store")
-        store.put(KEY, make_batch())
-        assert store.refresh() == 0
-        assert store.get(KEY) is not None
