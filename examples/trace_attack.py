@@ -17,7 +17,8 @@ Run:  python examples/trace_attack.py [--rounds N] [--out run.trace.json]
 import argparse
 from collections import Counter
 
-from repro.obs.runner import run_attack
+from repro import Machine
+from repro.attacks import run_on_machine
 from repro.obs.sinks import ChromeTraceSink, RingBufferSink
 from repro.obs.tracer import Tracer
 
@@ -32,15 +33,16 @@ def main() -> None:
     ring = RingBufferSink(capacity=None)
     chrome = ChromeTraceSink(args.out)
     tracer = Tracer([ring, chrome])
-    run = run_attack("variant1", seed=args.seed, rounds=args.rounds, trace=tracer)
+    machine = Machine(seed=args.seed, trace=tracer)
+    batch = run_on_machine("variant1", machine, seed=args.seed, rounds=args.rounds)
     tracer.close()
 
     print("AfterImage Variant 1, traced")
-    print(f"result: {run.detail}  (quality {run.quality:.2f})")
+    print(f"result: {batch.detail}  (quality {batch.quality:.2f})")
     print()
 
     print("cycle attribution by phase:")
-    print(run.machine.profile.render_text())
+    print(machine.profile.render_text())
     print()
 
     counts = Counter(event.kind for event in ring.events())

@@ -164,8 +164,9 @@ def generate_report(
     onto the same document.
     """
     from repro.analysis.ttest import TVLATest
+    from repro.attacks.registry import run_on_machine
+    from repro.cpu.machine import Machine
     from repro.mitigation.analytical import MitigationCostModel
-    from repro.obs.runner import run_attack
     from repro.revng.entries import EntryCountExperiment
     from repro.revng.indexing import IndexingExperiment
 
@@ -191,16 +192,17 @@ def generate_report(
     # derived seed (offset by table position, so rows stay independent).
     attack_runs = {}
     for offset, (name, row) in enumerate(ATTACK_ROWS.items()):
-        run = run_attack(
+        machine = Machine(params, seed=seed + offset)
+        batch = run_on_machine(
             name,
-            params,
+            machine,
             seed=seed + offset,
             rounds=row.rounds(rounds, quick),
             options=row.options(quick),
         )
-        attack_runs[name] = run
+        attack_runs[name] = (machine, batch)
         rows.append(
-            ReportRow(row.experiment, row.paper, row.measured(run.batch), row.in_band(run.batch))
+            ReportRow(row.experiment, row.paper, row.measured(batch), row.in_band(batch))
         )
 
     # t-test.
@@ -248,15 +250,15 @@ def generate_report(
     # Machine metrics (repro.obs): the cross-thread Variant 1 machine's
     # counter snapshot after its measurement rounds — the same numbers
     # `afterimage metrics` prints, inlined so a report archives them.
-    ct = attack_runs["variant1-thread"]
+    ct_machine, ct_batch = attack_runs["variant1-thread"]
     sections = [
         format_rows(rows),
         "## Machine metrics",
         "",
         "Variant 1 cross-thread machine after its "
-        f"{ct.rounds} measurement rounds (seed {seed}):",
+        f"{ct_batch.rounds} measurement rounds (seed {seed}):",
         "",
-        ct.machine.metrics().render_markdown(),
+        ct_machine.metrics().render_markdown(),
         "",
     ]
     sections.extend(extra_sections or [])

@@ -1,23 +1,13 @@
-"""Unified attack registry, trial schema, and parallel executor.
+"""Unified attack registry and trial schema.
 
 See ``docs/ATTACKS.md``.  The eight attacks of the paper register
 themselves in :mod:`repro.attacks.builtin`; consumers discover them via
 :func:`attack_names`/:func:`get_attack` and run them with
 :func:`run_trials` (fresh machine) or :func:`run_on_machine` (existing
 machine), getting back a :class:`TrialBatch`.  Sweeps go through
-:class:`TrialExecutor`.
+:class:`repro.campaign.CampaignRunner`.
 """
 
-from repro.attacks.executor import (
-    ExecutionResult,
-    TaskError,
-    TrialExecutor,
-    TrialTask,
-    build_matrix,
-    run_task,
-    run_task_safe,
-    task_seed,
-)
 from repro.attacks.registry import (
     Attack,
     AttackSpec,
@@ -36,22 +26,15 @@ from repro.attacks.trial import Trial, TrialBatch
 __all__ = [
     "Attack",
     "AttackSpec",
-    "ExecutionResult",
     "Scorer",
-    "TaskError",
     "Trial",
     "TrialBatch",
-    "TrialExecutor",
-    "TrialTask",
     "all_specs",
     "attack_names",
-    "build_matrix",
     "get_attack",
     "register_attack",
     "registered_covers",
     "run_on_machine",
-    "run_task",
-    "run_task_safe",
     "run_trials",
     "success_rate_score",
 ]

@@ -15,8 +15,8 @@ once::
         return _SomeScenario(machine, rng, **options)
 
 and every consumer — ``afterimage run/trace/metrics``, the report, the
-bench harness, the parallel :class:`~repro.attacks.executor.TrialExecutor`
-— discovers it through :func:`attack_names`/:func:`get_attack`.
+bench harness, the :class:`~repro.campaign.runner.CampaignRunner` —
+discovers it through :func:`attack_names`/:func:`get_attack`.
 
 ``covers`` names the :mod:`repro.core` classes the spec drives; lint rule
 RL012 cross-checks it so a future attack class cannot bypass the registry.

@@ -1,7 +1,8 @@
 """The resumable campaign runner: cache, fan out, retry, persist.
 
-Where :class:`repro.attacks.TrialExecutor` answers "run this task list,
-fast", the runner answers "make this campaign *complete*":
+The runner is the one way to run trials: ``afterimage campaign run``,
+``afterimage run`` and ``afterimage perf`` (each a one-axis spec over a
+temporary store) all come through it.  It makes a campaign *complete*:
 
 1. **Cache first.**  Every cell key is looked up in the
    :class:`~repro.campaign.store.TrialStore`; hits are served without
@@ -29,8 +30,10 @@ invocation.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter  # repro: noqa[RL003] — campaign measures host wall-clock
@@ -370,61 +373,45 @@ class CampaignRunner:
         cells: Sequence[CampaignCell],
         collector: TelemetryCollector | None = None,
     ) -> list[tuple[CampaignCell, TrialBatch | None, str | None]]:
-        by_key = {cell.key: cell for cell in cells}
+        """One execution round: every cell once, in order, never raising.
+
+        ``jobs=1`` (or a single cell) maps the worker in-process; otherwise
+        ``imap`` (order-preserving, yielding as results land, so each
+        receive gets a true timestamp) maps it across a pool.  With a
+        collector the worker also ships back its telemetry; indices
+        continue across retry rounds, so a healed campaign's timeline
+        shows every attempt as its own record.
+        """
+        worker = partial(
+            _call_safely if collector is None else _call_safely_telemetry,
+            self.run_cell_fn,
+        )
+        base = 0
         if collector is not None:
-            raw = self._execute_telemetry(cells, collector)
-        elif self.jobs == 1 or len(cells) == 1:
-            raw = [_call_safely(self.run_cell_fn, cell) for cell in cells]
-        else:
-            raw = self._run_pool(cells)
+            base = len(collector.records)
+            for offset, cell in enumerate(cells):
+                collector.add_request(base + offset, cell.label, cell)
+        n_workers = min(self.jobs, len(cells))
+        with (_pool(n_workers) if n_workers > 1 else nullcontext()) as pool:
+            if collector is not None:
+                collector.window_begin()
+            results = map(worker, cells) if pool is None else pool.imap(worker, cells)
+            raw = [
+                result if collector is None else collector.receive(base + offset, result)
+                for offset, result in enumerate(results)
+            ]
+            if collector is not None:
+                collector.window_end()
+        if collector is not None:
+            collector.measure_results(raw, start=base)
+        by_key = {cell.key: cell for cell in cells}
         return [(by_key[key], batch, error) for key, batch, error in raw]
 
-    def _run_pool(
-        self, cells: Sequence[CampaignCell]
-    ) -> list[tuple[str, TrialBatch | None, str | None]]:
-        import multiprocessing
 
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # platform without fork (e.g. Windows)
-            context = multiprocessing.get_context("spawn")
-        n_workers = min(self.jobs, len(cells))
-        with context.Pool(processes=n_workers) as pool:
-            return pool.map(partial(_call_safely, self.run_cell_fn), cells)
-
-    def _execute_telemetry(
-        self, cells: Sequence[CampaignCell], collector: TelemetryCollector
-    ) -> list[tuple[str, TrialBatch | None, str | None]]:
-        """One execution round with parent+worker bookkeeping.
-
-        Indices continue across retry rounds, so a healed campaign's
-        timeline shows every attempt as its own record.
-        """
-        base = len(collector.records)
-        for offset, cell in enumerate(cells):
-            collector.add_request(base + offset, cell.label, cell)
-        raw: list[tuple[str, TrialBatch | None, str | None]] = []
-        if self.jobs == 1 or len(cells) == 1:
-            collector.window_begin()
-            for offset, cell in enumerate(cells):
-                envelope = _call_safely_telemetry(self.run_cell_fn, cell)
-                raw.append(collector.receive(base + offset, envelope))
-            collector.window_end()
-        else:
-            import multiprocessing
-
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # platform without fork (e.g. Windows)
-                context = multiprocessing.get_context("spawn")
-            n_workers = min(self.jobs, len(cells))
-            with context.Pool(processes=n_workers) as pool:
-                collector.window_begin()
-                results = pool.imap(
-                    partial(_call_safely_telemetry, self.run_cell_fn), cells
-                )
-                for offset, envelope in enumerate(results):
-                    raw.append(collector.receive(base + offset, envelope))
-                collector.window_end()
-        collector.measure_results(raw, start=base)
-        return raw
+def _pool(processes: int) -> "multiprocessing.pool.Pool":
+    """A worker pool: ``fork`` where the platform has it, else ``spawn``."""
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # platform without fork (e.g. Windows)
+        context = multiprocessing.get_context("spawn")
+    return context.Pool(processes=processes)

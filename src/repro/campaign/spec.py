@@ -143,9 +143,9 @@ def cell_seed(
 ) -> int:
     """Derive one cell's seed from its coordinates, dispatch-order free.
 
-    Same mixing discipline as :func:`repro.attacks.executor.task_seed`,
-    with the axis content as an extra coordinate so each defense/noise
-    point draws an independent stream.
+    The axis content is a coordinate, so each defense/noise point draws
+    an independent stream.  ``afterimage run`` and ``perf`` go through a
+    one-axis spec, so this is the only seed recipe for a trial batch.
     """
     label = f"{experiment}:{machine}:{axis.content_label()}:{repeat}"
     return (base_seed * 1_000_003 + stable_seed(label)) % 2**32
@@ -227,9 +227,18 @@ class CampaignSpec:
             raise ValueError(
                 f"campaign {self.name!r}: rounds must be positive, got {self.rounds}"
             )
-        axis_names = [axis.name for axis in self.axes]
-        if len(set(axis_names)) != len(axis_names):
-            raise ValueError(f"campaign {self.name!r}: duplicate axis names")
+        for what, names in (
+            ("attack", self.attacks),
+            ("machine", self.machines),
+            ("axis name", [axis.name for axis in self.axes]),
+        ):
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            if repeated:
+                # Two cells with one key and seed would run twice and be
+                # merged twice, double-counting every trial.
+                raise ValueError(
+                    f"campaign {self.name!r}: duplicate {what}(s): {', '.join(repeated)}"
+                )
         for machine in self.machines:
             preset(machine)  # raises KeyError on unknown presets
 

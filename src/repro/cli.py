@@ -28,7 +28,10 @@ Each subcommand prints the corresponding figure/table series, like the
 benchmark suite, but without pytest in the loop.  The attack subcommands
 (``variant1``, ``covert``, ``rsa``, ...) are thin aliases over the
 :mod:`repro.attacks` registry; ``run`` drives any registered attack —
-or the whole suite, optionally fanned across ``--jobs`` workers.
+or the whole suite — as a one-axis campaign through
+:class:`~repro.campaign.CampaignRunner`, optionally fanned across
+``--jobs`` workers, and ``perf`` does the same with the runner's
+telemetry on.
 """
 
 from __future__ import annotations
@@ -259,7 +262,15 @@ def cmd_tracker(params: MachineParams, args: argparse.Namespace) -> None:
 
 
 def cmd_run(params: MachineParams, args: argparse.Namespace) -> None:
-    from repro.attacks import TrialExecutor, build_matrix
+    """`run` and `perf`: the attack (or ``--suite``) as a one-axis campaign.
+
+    The spec runs through :class:`~repro.campaign.CampaignRunner` over a
+    throwaway store, so these commands share the campaign's seeds, fault
+    isolation and retries; `perf` turns the runner's telemetry on.
+    """
+    import tempfile
+
+    from repro.campaign import CampaignRunner, CampaignSpec, TrialStore, render_result
 
     if args.suite:
         names: tuple[str, ...] = attack_names()
@@ -268,96 +279,32 @@ def cmd_run(params: MachineParams, args: argparse.Namespace) -> None:
     else:
         print("specify an attack name or --suite", file=sys.stderr)
         sys.exit(2)
-    tasks = build_matrix(
-        names,
-        base_seed=args.seed,
+    spec = CampaignSpec(
+        name=args.command,
+        attacks=names,
+        machines=(params.name,),
         repeats=args.repeats,
-        params=(params,),
         rounds=args.rounds,
+        base_seed=args.seed,
     )
-    result = TrialExecutor(jobs=args.jobs).run(tasks)
+    with tempfile.TemporaryDirectory(prefix="afterimage-run-") as store_dir:
+        runner = CampaignRunner(
+            TrialStore(store_dir), jobs=args.jobs, telemetry=args.command == "perf"
+        )
+        result = runner.run(spec)
     if args.format == "json":
         print(json.dumps(result.as_dict(), indent=2))
-    else:
-        _table(
-            [
-                (name, f"{batch.quality:.3f}", batch.n_trials, batch.detail)
-                for name, batch in result.merged.items()
-            ],
-            ("attack", "quality", "trials", "detail"),
-        )
-        print(
-            f"{len(result.batches)} batches, jobs={result.jobs}, "
-            f"wall {result.wall_seconds:.2f}s"
-        )
-    for error in result.errors:
-        print(
-            f"FAILED {error.task.attack} (seed {error.task.seed}): {error.summary}",
-            file=sys.stderr,
-        )
-    if result.errors:
-        sys.exit(1)
-
-
-def cmd_perf(params: MachineParams, args: argparse.Namespace) -> None:
-    """Run the suite through the instrumented executor; print the timeline."""
-    from repro.attacks import TrialExecutor, build_matrix, get_attack
-
-    if args.suite:
-        names: tuple[str, ...] = attack_names()
-    elif args.attack is not None:
-        names = (args.attack,)
-    else:
-        print("specify an attack name or --suite", file=sys.stderr)
-        sys.exit(2)
-    tasks = build_matrix(
-        names,
-        base_seed=args.seed,
-        repeats=args.repeats,
-        params=(params,),
-        rounds=args.rounds,
-    )
-    if args.rounds is None and args.rounds_scale is not None:
-        import dataclasses
-
-        tasks = [
-            dataclasses.replace(
-                task,
-                rounds=max(
-                    1, int(get_attack(task.attack).default_rounds * args.rounds_scale)
-                ),
-            )
-            for task in tasks
-        ]
-    result = TrialExecutor(jobs=args.jobs, telemetry=True).run(tasks)
-    timeline = result.telemetry
-    assert timeline is not None
-    if args.format == "json":
-        document = {
-            "jobs": result.jobs,
-            "wall_seconds": result.wall_seconds,
-            "n_tasks": len(tasks),
-            "attacks": {
-                name: {"quality": batch.quality, "n_trials": batch.n_trials}
-                for name, batch in result.merged.items()
-            },
-            **timeline.as_dict(),
-        }
-        print(json.dumps(document, indent=2))
     elif args.format == "trace":
+        timeline = result.telemetry
+        assert timeline is not None
         timeline.write_chrome(args.out)
         print(
             f"wrote {args.out}: {len(timeline.records)} tasks across "
             f"{len(timeline.lanes())} lanes, wall {timeline.wall_seconds:.2f}s"
         )
     else:
-        print(timeline.render_text())
-    for error in result.errors:
-        print(
-            f"FAILED {error.task.attack} (seed {error.task.seed}): {error.summary}",
-            file=sys.stderr,
-        )
-    if result.errors:
+        print(render_result(result))
+    if not result.complete:
         sys.exit(1)
 
 
@@ -449,7 +396,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    spec = _resolve_campaign_spec(args.campaign[0], args)
+    try:
+        spec = _resolve_campaign_spec(args.campaign[0], args)
+    except ValueError as exc:
+        print(f"campaign {args.action}: {exc}", file=sys.stderr)
+        return 2
     shard = None
     if args.shard is not None:
         if args.action not in ("run", "status"):
@@ -531,36 +482,48 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(params: MachineParams, args: argparse.Namespace) -> None:
-    from repro.obs.runner import run_attack
+    from repro.attacks.registry import run_on_machine
+    from repro.cpu.machine import Machine
     from repro.obs.sinks import ChromeTraceSink, RingBufferSink
     from repro.obs.tracer import Tracer
 
     ring = RingBufferSink(capacity=None)
     chrome = ChromeTraceSink(args.out, cycles_per_us=params.frequency_hz / 1e6)
     tracer = Tracer([ring, chrome])
-    run = run_attack(args.attack, params, seed=args.seed, rounds=args.rounds, trace=tracer)
+    machine = Machine(params, seed=args.seed, trace=tracer)
+    batch = run_on_machine(args.attack, machine, seed=args.seed, rounds=args.rounds)
     tracer.close()
     counts: dict[str, int] = {}
     for event in ring.events():
         counts[event.kind] = counts.get(event.kind, 0) + 1
-    print(f"{run.name}: {run.detail}")
+    print(f"{batch.attack}: {batch.detail}")
     _table(sorted(counts.items()), ("event", "count"))
-    print(f"wrote {args.out}: {len(ring)} events over {run.machine.cycles} cycles")
+    print(f"wrote {args.out}: {len(ring)} events over {machine.cycles} cycles")
 
 
 def cmd_metrics(params: MachineParams, args: argparse.Namespace) -> None:
-    from repro.obs.runner import run_attack
+    from repro.attacks.registry import run_on_machine
+    from repro.cpu.machine import Machine
 
-    run = run_attack(args.attack, params, seed=args.seed, rounds=args.rounds)
-    registry = run.machine.metrics()
+    machine = Machine(params, seed=args.seed)
+    batch = run_on_machine(args.attack, machine, seed=args.seed, rounds=args.rounds)
+    registry = machine.metrics()
     if args.format == "json":
-        print(json.dumps({"run": run.as_dict(), "metrics": registry.as_dict()}, indent=2))
+        run = {
+            "name": batch.attack,
+            "rounds": batch.rounds,
+            "quality": batch.quality,
+            "detail": batch.detail,
+            "simulated_cycles": batch.simulated_cycles,
+            "spans": batch.spans,
+        }
+        print(json.dumps({"run": run, "metrics": registry.as_dict()}, indent=2))
         return
-    print(f"{run.name}: {run.detail}")
+    print(f"{batch.attack}: {batch.detail}")
     print()
     print(registry.render_text())
     print()
-    print(run.machine.profile.render_text())
+    print(machine.profile.render_text())
 
 
 _COMMANDS: dict[str, tuple[Callable, str]] = {
@@ -580,7 +543,7 @@ _COMMANDS: dict[str, tuple[Callable, str]] = {
     "trace": (cmd_trace, "Run an attack with tracing, write a Chrome trace_event file"),
     "metrics": (cmd_metrics, "Run an attack, dump the machine's metrics registry"),
     "run": (cmd_run, "Run any registered attack (or --suite) across --jobs workers"),
-    "perf": (cmd_perf, "Executor telemetry: worker timeline + overhead attribution"),
+    "perf": (cmd_run, "Like run, plus the runner's worker timeline + overhead attribution"),
 }
 
 
@@ -710,12 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("attack", nargs="?", default=None, choices=attack_names())
             cmd.add_argument("--suite", action="store_true")
             cmd.add_argument("--rounds", type=int, default=None)
-            cmd.add_argument(
-                "--rounds-scale",
-                type=float,
-                default=None,
-                help="scale each attack's default rounds (ignored with --rounds)",
-            )
             cmd.add_argument("--jobs", type=int, default=2)
             cmd.add_argument("--repeats", type=int, default=1)
             cmd.add_argument(

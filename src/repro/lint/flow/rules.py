@@ -167,7 +167,7 @@ class DeterminismTrialTaintRule(FlowRule):
 # RL015 — determinism taint into seed / content-hash inputs               #
 # ---------------------------------------------------------------------- #
 
-_SEED_FNS = frozenset({"stable_seed", "make_rng", "derive_rng", "task_seed", "cell_seed"})
+_SEED_FNS = frozenset({"stable_seed", "make_rng", "derive_rng", "cell_seed"})
 _SEED_KEYWORDS = frozenset({"seed", "base_seed"})
 _HASH_CTORS = frozenset({"sha256", "sha1", "sha512", "md5", "blake2b", "blake2s"})
 
@@ -194,7 +194,7 @@ class SeedTaintRule(FlowRule):
 
     rule_id = "RL015"
     title = "nondeterministic value flows into a seed or content-hash input"
-    hint = "seeds/cell keys must be pure functions of declared coordinates (see cell_seed/task_seed)"
+    hint = "seeds/cell keys must be pure functions of declared coordinates (see cell_seed)"
 
     def applies_to(self, path: str) -> bool:
         return not _is_test_path(path)
@@ -233,9 +233,9 @@ class SeedTaintRule(FlowRule):
 # ---------------------------------------------------------------------- #
 
 #: ``pool.<method>(callable, iterable...)`` shapes that ship work to
-#: other processes.  ``run`` is deliberately absent here (TrialExecutor
-#: .run takes *tasks*, not callables) — it participates only in the
-#: post-dispatch-mutation check below.
+#: other processes.  ``run`` is deliberately absent here
+#: (``CampaignRunner.run`` takes a *spec*, not a callable) — it
+#: participates only in the post-dispatch-mutation check below.
 _DISPATCH_METHODS = frozenset(
     {"map", "imap", "imap_unordered", "starmap", "starmap_async", "map_async",
      "apply", "apply_async", "submit"}
@@ -247,7 +247,7 @@ _SUBMIT_METHODS = _DISPATCH_METHODS | {"run"}
 _CALLABLE_KEYWORDS = frozenset({"run_cell_fn"})
 _POOLISH_MARKERS = ("pool", "executor", "runner")
 _POOLISH_CTORS = frozenset(
-    {"Pool", "TrialExecutor", "CampaignRunner", "ProcessPoolExecutor", "ThreadPoolExecutor"}
+    {"Pool", "CampaignRunner", "ProcessPoolExecutor", "ThreadPoolExecutor"}
 )
 
 

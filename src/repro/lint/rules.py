@@ -564,28 +564,26 @@ class UnregisteredAttackRule(Rule):
 
 
 class ConfinedMultiprocessingRule(Rule):
-    """RL013 — ``multiprocessing`` imports are confined to the two pool owners.
+    """RL013 — ``multiprocessing`` imports are confined to the campaign layer.
 
-    Worker fan-out has exactly two sanctioned homes: the trial executor
-    (``repro/attacks/executor.py``) and the campaign layer
-    (``repro/campaign/``).  Both get the platform context dance, per-cell
-    fault isolation, and deterministic per-task seed derivation right; an
-    ad-hoc ``multiprocessing`` pool anywhere else would re-introduce the
-    all-or-nothing ``pool.map`` failure mode and dispatch-order-dependent
-    seeds those layers exist to prevent.  Everything else parallelises by
-    building a task list and handing it to the executor or a campaign.
+    Worker fan-out has exactly one sanctioned home: the campaign layer
+    (``repro/campaign/``), whose runner gets the platform context dance,
+    per-cell fault isolation, and deterministic per-cell seed derivation
+    right.  An ad-hoc ``multiprocessing`` pool anywhere else would
+    re-introduce the all-or-nothing ``pool.map`` failure mode and
+    dispatch-order-dependent seeds the runner exists to prevent.
+    Everything else parallelises by writing a campaign spec and handing
+    it to the runner.
     """
 
     rule_id = "RL013"
-    title = "multiprocessing import outside attacks/executor.py and campaign/"
-    hint = "fan out via repro.attacks.TrialExecutor or repro.campaign.CampaignRunner"
-
-    _ALLOWED = ("repro/attacks/executor.py", "repro/campaign/")
+    title = "multiprocessing import outside campaign/"
+    hint = "fan out via repro.campaign.CampaignRunner"
 
     def applies_to(self, path: str) -> bool:
         if not _in_package(path, "repro") or _is_test_path(path):
             return False
-        return not any(allowed in path for allowed in self._ALLOWED)
+        return "repro/campaign/" not in path
 
     def check(self, ctx: "FileContext") -> Iterator["Finding"]:
         for node in ctx.walk():

@@ -13,7 +13,7 @@ Three layers over the simulated machine:
 * **Cross-process telemetry** (`telemetry`) — per-worker wall windows
   captured inside pool workers, merged by the parent into a
   :class:`Timeline` that partitions the run's wall-clock into
-  serialize/queue/compute/merge/serial buckets (``afterimage perf``).
+  serialize/queue/compute/serial buckets (``afterimage perf``).
 
 Enable tracing per machine with ``Machine(trace=True)`` (or a configured
 :class:`Tracer`), or globally with ``REPRO_TRACE=1`` — the same convention
@@ -37,7 +37,6 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import Histogram, MetricsRegistry, latency_bounds, snapshot
 from repro.obs.profiler import Span, SpanProfile, SpanStats
-from repro.obs.runner import AttackRun, run_attack
 from repro.obs.sinks import (
     ChromeTraceSink,
     ChromeTraceWriter,
@@ -65,7 +64,6 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "AttackRun",
     "BUCKETS",
     "ChromeTraceSink",
     "ChromeTraceWriter",
@@ -103,7 +101,6 @@ __all__ = [
     "capture_worker",
     "latency_bounds",
     "resolve_tracer",
-    "run_attack",
     "snapshot",
     "trace_enabled",
 ]

@@ -1,12 +1,11 @@
 """Cross-process performance telemetry: worker timelines and attribution.
 
 The single-process :mod:`repro.obs` layers (tracer, metrics, spans) die
-with the pool worker that collected them, which made the parallel
-:class:`~repro.attacks.executor.TrialExecutor` and the
-:class:`~repro.campaign.runner.CampaignRunner` observability black holes:
-a measured 0.911 "speedup" at ``--jobs 2`` (EXPERIMENTS.md, "Where the
-parallel time goes") and nothing in the repo could say where the time
-went.  This module closes that hole:
+with the pool worker that collected them, which made the
+:class:`~repro.campaign.runner.CampaignRunner`'s pool an observability
+black hole: a measured 0.911 "speedup" at ``--jobs 2`` (EXPERIMENTS.md,
+"Where the parallel time goes") and nothing in the repo could say where
+the time went.  This module closes that hole:
 
 * :class:`WorkerTelemetry` is captured *inside* each worker (wall window,
   per-span host seconds from the machine profile, simulated cycles) and
@@ -15,12 +14,11 @@ went.  This module closes that hole:
   byte-identical with telemetry on.
 * :class:`TelemetryCollector` does the parent-side bookkeeping: pickled
   payload sizes both directions (measured with ``pickle.dumps``),
-  dispatch timestamps, per-result receive latency, pool-window edges and
-  the merge phase.
+  dispatch timestamps, per-result receive latency and pool-window edges.
 * :class:`Timeline` merges everything into per-worker lanes plus an
-  overhead attribution that partitions the run's wall-clock into five
-  named buckets — ``serialize`` / ``queue`` / ``compute`` / ``merge`` /
-  ``serial`` — **by construction** (the buckets are a partition of the
+  overhead attribution that partitions the run's wall-clock into four
+  named buckets — ``serialize`` / ``queue`` / ``compute`` / ``serial`` —
+  **by construction** (the buckets are a partition of the
   wall interval, so coverage is 100% up to clamping), rendered as text,
   JSON, or a Chrome ``trace_event`` file with labeled process lanes.
 
@@ -33,14 +31,12 @@ from __future__ import annotations
 
 import os
 import pickle
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter  # repro: noqa[RL003] — telemetry measures host wall-clock
 from typing import Any
 
 #: The attribution bucket names, in rendering order.
-BUCKETS = ("serialize", "queue", "compute", "merge", "serial")
+BUCKETS = ("serialize", "queue", "compute", "serial")
 
 
 @dataclass(frozen=True)
@@ -50,8 +46,8 @@ class WorkerTelemetry:
     ``start``/``end`` bracket the worker's whole task (including machine
     construction); ``span_wall`` is the per-phase host-seconds view of the
     machine's span profile, and ``simulated_cycles``/``n_trials`` tie the
-    wall window back to simulated work.  ``ok`` is False when the task
-    produced a :class:`~repro.attacks.executor.TaskError`.
+    wall window back to simulated work.  ``ok`` is False when the cell
+    raised and produced no batch.
     """
 
     pid: int
@@ -83,29 +79,27 @@ class WorkerTelemetry:
 class TelemetryEnvelope:
     """A worker result plus its telemetry, crossing the pool as one pickle.
 
-    ``outcome`` is whatever the uninstrumented worker function returns (a
-    ``TrialBatch``, a ``TaskError``, or the campaign's ``(key, batch,
-    error)`` tuple) — callers unwrap it and the downstream result shape
-    is identical to the telemetry-off path.
+    ``outcome`` is whatever the uninstrumented worker returns — the
+    campaign runner's ``(key, batch, error)`` triple — so callers unwrap
+    it and the downstream result shape is identical to the telemetry-off
+    path.
     """
 
     outcome: Any
     telemetry: WorkerTelemetry
 
 
-def capture_worker(fn: Any, arg: Any, label_batch: bool = True) -> TelemetryEnvelope:
+def capture_worker(fn: Any, arg: Any) -> TelemetryEnvelope:
     """Run ``fn(arg)`` inside a worker, timing it into an envelope.
 
-    The batch's span profile (if the outcome carries one) supplies the
-    per-phase wall breakdown; an error outcome yields ``ok=False`` with
-    an empty breakdown.
+    ``fn`` returns a ``(key, batch, error)`` triple.  The batch's span
+    profile supplies the per-phase wall breakdown; an error outcome (no
+    batch) yields ``ok=False`` with an empty breakdown.
     """
     start = perf_counter()
     outcome = fn(arg)
     end = perf_counter()
-    batch = outcome
-    if isinstance(outcome, tuple):  # campaign (key, batch, error) triple
-        batch = outcome[1]
+    batch = outcome[1]
     spans = getattr(batch, "spans", None) or {}
     return TelemetryEnvelope(
         outcome=outcome,
@@ -113,7 +107,7 @@ def capture_worker(fn: Any, arg: Any, label_batch: bool = True) -> TelemetryEnve
             pid=os.getpid(),
             start=start,
             end=end,
-            ok=batch is not None and not hasattr(batch, "error"),
+            ok=batch is not None,
             simulated_cycles=int(getattr(batch, "simulated_cycles", 0) or 0),
             n_trials=int(getattr(batch, "n_trials", 0) or 0),
             span_wall={
@@ -185,7 +179,7 @@ def _interval_union(intervals: list[tuple[float, float]]) -> float:
 
 
 class TelemetryCollector:
-    """Parent-side accumulator shared by the executor and campaign runner.
+    """Parent-side accumulator for the campaign runner.
 
     Usage shape::
 
@@ -197,8 +191,6 @@ class TelemetryCollector:
             outcome = collector.receive(i, envelope)
         collector.window_end()
         collector.measure_results(outcomes)         # pickles for size
-        with collector.merge_phase():
-            merged = ...
         timeline = collector.finish()
     """
 
@@ -208,7 +200,6 @@ class TelemetryCollector:
         self._by_index: dict[int, TaskRecord] = {}
         self.windows: list[tuple[float, float]] = []
         self.serialize_seconds = 0.0
-        self.merge_seconds = 0.0
         self.origin = perf_counter()
         self._window_start: float | None = None
 
@@ -257,15 +248,6 @@ class TelemetryCollector:
                 record.result_bytes = 0
             self.serialize_seconds += perf_counter() - start
 
-    @contextmanager
-    def merge_phase(self) -> Iterator[None]:
-        """Context manager timing the merge bucket."""
-        start = perf_counter()
-        try:
-            yield
-        finally:
-            self.merge_seconds += perf_counter() - start
-
     def finish(self, wall_seconds: float | None = None) -> "Timeline":
         if self._window_start is not None:  # tolerate a missing window_end
             self.window_end()
@@ -281,7 +263,6 @@ class TelemetryCollector:
             records=list(self.records),
             windows=list(self.windows),
             serialize_seconds=self.serialize_seconds,
-            merge_seconds=self.merge_seconds,
         )
 
 
@@ -295,7 +276,6 @@ class Timeline:
     records: list[TaskRecord]
     windows: list[tuple[float, float]]
     serialize_seconds: float
-    merge_seconds: float
 
     # -- attribution ---------------------------------------------------- #
 
@@ -313,13 +293,13 @@ class Timeline:
         return clipped
 
     def buckets(self) -> dict[str, float]:
-        """Partition the wall interval into the five named buckets.
+        """Partition the wall interval into the four named buckets.
 
         ``compute`` is the union of worker-busy time inside the pool
         windows; ``queue`` is the remaining window time (dispatch latency,
-        IPC, result unpickling); ``serialize`` and ``merge`` are measured
-        parent phases outside the windows; ``serial`` is everything else
-        (setup, cache reads, bookkeeping).  The five sum to
+        IPC, result unpickling); ``serialize`` is the measured parent
+        pickling outside the windows; ``serial`` is everything else
+        (setup, store reads and writes, bookkeeping).  The four sum to
         ``wall_seconds`` exactly unless clock skew forces the ``serial``
         remainder to clamp at zero.
         """
@@ -335,13 +315,11 @@ class Timeline:
             )
         queue = max(0.0, window_len - compute)
         serialize = self.serialize_seconds
-        merge = self.merge_seconds
-        serial = max(0.0, self.wall_seconds - (serialize + queue + compute + merge))
+        serial = max(0.0, self.wall_seconds - (serialize + queue + compute))
         return {
             "serialize": serialize,
             "queue": queue,
             "compute": compute,
-            "merge": merge,
             "serial": serial,
         }
 
@@ -451,13 +429,13 @@ class Timeline:
         """Export the timeline as a Chrome ``trace_event`` file.
 
         One labeled process lane per worker pid (plus a parent lane for
-        the serialize/merge phases), timestamps in microseconds relative
+        the serialize phase and the pool windows), timestamps in microseconds relative
         to the collector's origin.
         """
         from repro.obs.sinks import ChromeTraceWriter
 
         writer = ChromeTraceWriter()
-        parent_pid = writer.lane("executor (parent)", "dispatch/merge")
+        parent_pid = writer.lane("runner (parent)", "dispatch")
 
         def us(ts: float) -> float:
             return max(0.0, ts - self.origin) * 1e6
@@ -472,13 +450,6 @@ class Timeline:
             writer.slice(
                 parent_pid, "pool window", us(w_begin), (w_end - w_begin) * 1e6,
                 cat="queue",
-            )
-        if self.merge_seconds > 0:
-            end = self.origin + self.wall_seconds
-            writer.slice(
-                parent_pid, "merge", us(end - self.merge_seconds),
-                self.merge_seconds * 1e6, cat="merge",
-                args={"seconds": self.merge_seconds},
             )
         for pid, records in sorted(self.lanes().items()):
             lane_pid = writer.lane(f"worker pid {pid}", "trial compute")

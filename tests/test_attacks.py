@@ -1,4 +1,4 @@
-"""Tests for the repro.attacks registry, trial schema, and executor.
+"""Tests for the repro.attacks registry and trial schema.
 
 The completeness contract: every registered attack runs end-to-end —
 traced AND sanitized — and every consumer surface (CLI subcommands,
@@ -10,18 +10,13 @@ import json
 import pytest
 
 from repro.attacks import (
-    TaskError,
     TrialBatch,
-    TrialExecutor,
-    TrialTask,
     attack_names,
-    build_matrix,
     get_attack,
     registered_covers,
-    run_task_safe,
     run_trials,
-    task_seed,
 )
+from repro.campaign import AxisPoint, CampaignRunner, CampaignSpec, TrialStore, run_cell
 from repro.params import preset
 
 PARAMS = preset("i7-9700")
@@ -123,12 +118,45 @@ class TestConsumerSync:
             )
             assert set(attack_action.choices) == set(attack_names())
 
-    def test_obs_runner_has_no_dispatch_table(self):
-        import repro.obs.runner as runner
 
-        assert not hasattr(runner, "_RUNNERS")
-        assert not hasattr(runner, "ATTACK_NAMES")
-        assert not hasattr(runner, "DEFAULT_ROUNDS")
+class CrashExperiment:
+    """Picklable fault injector: every cell of one experiment raises."""
+
+    def __init__(self, experiment: str) -> None:
+        self.experiment = experiment
+
+    def __call__(self, cell):
+        if cell.experiment == self.experiment:
+            raise RuntimeError(f"injected {self.experiment} crash")
+        return run_cell(cell)
+
+
+class TestExecutorFaultIsolation:
+    """One raising cell does not abort the run or discard its siblings'
+    batches — it comes back as a failed outcome, in-process and in a pool."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_good_cells_survive_a_failing_cell(self, tmp_path, jobs):
+        spec = CampaignSpec(
+            name="fault-isolation",
+            attacks=("variant1", "sgx"),
+            machines=("i7-9700",),
+            axes=(AxisPoint(name="baseline"),),
+            repeats=2,
+            rounds=2,
+        )
+        result = CampaignRunner(
+            TrialStore(tmp_path / "store"),
+            jobs=jobs,
+            run_cell_fn=CrashExperiment("sgx"),
+            max_attempts=1,
+        ).run(spec)
+        assert not result.complete
+        assert [o.cell.experiment for o in result.failed] == ["sgx", "sgx"]
+        assert result.executed_count == 2
+        assert set(result.merged()) == {"variant1/i7-9700/baseline"}
+        errors = [o["error"] for o in result.as_dict()["outcomes"] if o["error"]]
+        assert errors == ["RuntimeError: injected sgx crash"] * 2
 
 
 class TestTrialBatchMerge:
@@ -161,45 +189,6 @@ class TestTrialBatchMerge:
     def test_merge_single_batch_passthrough(self):
         a = run_trials("sgx", PARAMS, seed=1, rounds=2)
         assert TrialBatch.merge([a]) is a
-
-
-class TestExecutor:
-    def test_task_seed_is_dispatch_order_independent(self):
-        assert task_seed(SEED, "sgx", "i7-9700", 0) == task_seed(
-            SEED, "sgx", "i7-9700", 0
-        )
-        assert task_seed(SEED, "sgx", "i7-9700", 0) != task_seed(
-            SEED, "sgx", "i7-9700", 1
-        )
-        assert task_seed(SEED, "sgx", "i7-9700", 0) != task_seed(
-            SEED, "covert", "i7-9700", 0
-        )
-
-    def test_build_matrix_shape(self):
-        tasks = build_matrix(("sgx", "covert"), base_seed=SEED, repeats=3)
-        assert len(tasks) == 6
-        assert len({(t.attack, t.seed) for t in tasks}) == 6
-
-    def test_parallel_aggregates_equal_serial(self):
-        tasks = build_matrix(
-            ("variant1", "sgx"), base_seed=SEED, repeats=2, rounds=2
-        )
-        serial = TrialExecutor(jobs=1).run(tasks)
-        parallel = TrialExecutor(jobs=2).run(tasks)
-        assert set(serial.merged) == set(parallel.merged) == {"variant1", "sgx"}
-        for name in serial.merged:
-            s, p = serial.merged[name], parallel.merged[name]
-            assert s.quality == p.quality
-            assert s.simulated_cycles == p.simulated_cycles
-            assert [t.as_dict() for t in s.trials] == [t.as_dict() for t in p.trials]
-
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            TrialExecutor(jobs=0)
-
-    def test_empty_tasks_rejected(self):
-        with pytest.raises(ValueError):
-            TrialExecutor(jobs=1).run([])
 
 
 class TestTrialBatchRoundTrip:
@@ -235,45 +224,3 @@ class TestTrialBatchRoundTrip:
         restored = TrialBatch.from_dict(json.loads(json.dumps(merged.as_dict())))
         assert restored.notes["merged_seeds"] == [1, 2]
         assert restored.quality == merged.quality
-
-
-class TestExecutorFaultIsolation:
-    """Satellite contract: one raising worker no longer aborts ``pool.map``
-    and discards every completed batch — it comes back as a TaskError."""
-
-    def bad_task(self) -> TrialTask:
-        # An unknown attack name makes run_task raise inside the worker.
-        return TrialTask(attack="rowhammer", params=PARAMS, seed=SEED, rounds=2)
-
-    def test_run_task_safe_returns_error_value(self):
-        outcome = run_task_safe(self.bad_task())
-        assert isinstance(outcome, TaskError)
-        assert outcome.task.attack == "rowhammer"
-        assert "unknown attack" in outcome.summary
-        json.dumps(outcome.as_dict())
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_good_cells_survive_a_failing_cell(self, jobs):
-        tasks = build_matrix(("sgx",), base_seed=SEED, repeats=2, rounds=2)
-        tasks.append(self.bad_task())
-        result = TrialExecutor(jobs=jobs).run(tasks)
-        assert len(result.batches) == 2
-        assert len(result.errors) == 1
-        assert result.errors[0].task.attack == "rowhammer"
-        assert set(result.merged) == {"sgx"}
-        assert result.as_dict()["errors"][0]["attack"] == "rowhammer"
-
-    def test_failing_cell_does_not_change_sibling_aggregates(self):
-        tasks = build_matrix(("sgx",), base_seed=SEED, repeats=2, rounds=2)
-        clean = TrialExecutor(jobs=1).run(list(tasks))
-        dirty = TrialExecutor(jobs=1).run(list(tasks) + [self.bad_task()])
-
-        def deterministic(batch):  # host wall-clock varies run to run
-            data = batch.as_dict()
-            data["spans"] = {
-                name: {k: v for k, v in stats.items() if k != "wall_seconds"}
-                for name, stats in data["spans"].items()
-            }
-            return data
-
-        assert deterministic(clean.merged["sgx"]) == deterministic(dirty.merged["sgx"])

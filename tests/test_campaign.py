@@ -139,6 +139,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="duplicate axis"):
             small_spec(axes=(AxisPoint(name="a"), AxisPoint(name="a", defense="tagged")))
 
+    def test_duplicate_attacks_rejected(self):
+        # Two cells with one key and seed would double-count their trials.
+        with pytest.raises(ValueError, match="duplicate attack"):
+            small_spec(attacks=("variant1", "variant1"))
+
+    def test_duplicate_machines_rejected(self):
+        with pytest.raises(ValueError, match="duplicate machine"):
+            small_spec(machines=("i7-9700", "i7-9700"))
+
     def test_empty_attacks_rejected(self):
         with pytest.raises(ValueError, match="no attacks"):
             small_spec(attacks=())

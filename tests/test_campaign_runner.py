@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.attacks import attack_names
 from repro.campaign import (
     AxisPoint,
     CampaignRunner,
@@ -68,6 +69,29 @@ class CrashAlways:
         if cell.repeat == self.repeat:
             raise RuntimeError("persistent injected crash")
         return run_cell(cell)
+
+
+class CrashExperiment:
+    """Picklable fault injector: every cell of one experiment crashes."""
+
+    def __init__(self, experiment: str) -> None:
+        self.experiment = experiment
+
+    def __call__(self, cell):
+        if cell.experiment == self.experiment:
+            raise RuntimeError(f"injected {self.experiment} crash")
+        return run_cell(cell)
+
+
+class TestParallelism:
+    def test_parallel_aggregates_equal_serial(self, tmp_path):
+        """jobs=1 and jobs=2 give byte-identical aggregates over the suite."""
+        spec = small_spec(attacks=attack_names(), repeats=1, rounds=1)
+        serial = CampaignRunner(TrialStore(tmp_path / "serial"), jobs=1).run(spec)
+        pooled = CampaignRunner(TrialStore(tmp_path / "pooled"), jobs=2).run(spec)
+        assert serial.complete and pooled.complete
+        assert len(serial.aggregates()) == len(attack_names())
+        assert canonical(serial.aggregates()) == canonical(pooled.aggregates())
 
 
 class TestCaching:
@@ -160,6 +184,18 @@ class TestFaultIsolationAndRetry:
         assert failed.attempts == 2
         assert "persistent injected crash" in failed.error
         assert "persistent injected crash" in failed.error_summary
+
+    def test_failing_cell_does_not_change_sibling_aggregates(self, tmp_path):
+        spec = small_spec(attacks=("variant1", "sgx"), repeats=2)
+        clean = CampaignRunner(TrialStore(tmp_path / "clean")).run(spec)
+        dirty = CampaignRunner(
+            TrialStore(tmp_path / "dirty"),
+            run_cell_fn=CrashExperiment("sgx"),
+            max_attempts=1,
+        ).run(spec)
+        label = "variant1/i7-9700/baseline"
+        assert set(dirty.aggregates()) == {label}
+        assert canonical(clean.aggregates()[label]) == canonical(dirty.aggregates()[label])
 
     def test_failed_cell_resumes_on_next_invocation(self, tmp_path):
         spec = small_spec()

@@ -118,15 +118,16 @@ class TestRun:
     def test_run_single_attack(self, capsys):
         assert main(["run", "sgx", "--rounds", "2"]) == 0
         out = capsys.readouterr().out
-        assert "sgx" in out and "jobs=1" in out
+        assert "sgx/i7-9700/baseline" in out and "jobs=1" in out
 
     def test_run_suite_parallel_json(self, capsys):
         assert main(["run", "--suite", "--rounds", "2", "--jobs", "2",
                      "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["jobs"] == 2
-        assert len(payload["merged"]) == 8
-        for batch in payload["merged"].values():
+        assert payload["complete"]
+        assert len(payload["aggregates"]) == 8
+        for batch in payload["aggregates"].values():
             assert batch["n_trials"] >= 2
 
     def test_run_without_attack_or_suite_errors(self, capsys):
@@ -138,7 +139,33 @@ class TestRun:
         assert main(["run", "tracker", "--rounds", "1", "--repeats", "2",
                      "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["merged"]["tracker"]["n_trials"] == 2
+        assert payload["aggregates"]["tracker/i7-9700/baseline"]["n_trials"] == 2
+
+    def test_run_matches_campaign_aggregate(self, tmp_path, capsys):
+        """`run` is a one-axis campaign: one seed derivation, one answer."""
+        assert main(["--seed", "5", "run", "sgx", "--rounds", "2",
+                     "--format", "json"]) == 0
+        run_aggregates = json.loads(capsys.readouterr().out)["aggregates"]
+        spec_path = tmp_path / "sgx.json"
+        spec_path.write_text(json.dumps({
+            "name": "sgx-only", "attacks": ["sgx"], "machines": ["i7-9700"],
+            "rounds": 2, "base_seed": 5,
+        }))
+        store = ["--store", str(tmp_path / "store")]
+        assert main(["campaign", "run", str(spec_path), *store]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "aggregate", str(spec_path), *store]) == 0
+        campaign_aggregates = json.loads(capsys.readouterr().out)
+        assert json.dumps(run_aggregates, sort_keys=True) == json.dumps(
+            campaign_aggregates, sort_keys=True
+        )
+
+    def test_perf_json_carries_the_timeline(self, capsys):
+        assert main(["perf", "sgx", "--rounds", "1", "--jobs", "1",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["telemetry"]["attribution"]["coverage"] >= 0.95
+        assert list(payload["aggregates"]) == ["sgx/i7-9700/baseline"]
 
 
 class TestReport:
@@ -171,6 +198,12 @@ class TestCampaign:
         out = capsys.readouterr().out
         for name in ("revng-table1", "attacks-vs-noise", "defense-matrix"):
             assert name in out
+
+    def test_campaign_duplicate_attacks_rejected(self, tmp_path, capsys):
+        args = self.run_args(tmp_path, "run", "attacks-vs-noise")
+        args[args.index("--attacks") + 1] = "sgx,sgx"
+        assert main(args) == 2
+        assert "duplicate attack(s): sgx" in capsys.readouterr().err
 
     def test_campaign_without_name_errors(self, capsys):
         assert main(["campaign", "run"]) == 2

@@ -59,7 +59,7 @@ class TestExamples:
     def test_perf_timeline(self, tmp_path):
         out = tmp_path / "perf.trace.json"
         stdout = run_example(
-            "perf_timeline.py", "--rounds-scale", "0.05", "--out", str(out)
+            "perf_timeline.py", "--rounds", "2", "--out", str(out)
         )
         assert "where the time went" in stdout
         assert "dominant overhead bucket" in stdout

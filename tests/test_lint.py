@@ -505,14 +505,14 @@ class TestUnregisteredAttack:
 
 
 # --------------------------------------------------------------------- #
-# RL013 — multiprocessing confined to the executor and campaign layers   #
+# RL013 — multiprocessing confined to the campaign layer                #
 # --------------------------------------------------------------------- #
 
 
 class TestConfinedMultiprocessing:
     def test_plain_import_flagged(self):
         assert "RL013" in rule_ids(
-            lint("import multiprocessing\n", path="src/repro/obs/runner.py")
+            lint("import multiprocessing\n", path="src/repro/obs/telemetry.py")
         )
 
     def test_from_import_flagged(self):
@@ -525,9 +525,9 @@ class TestConfinedMultiprocessing:
             lint("import multiprocessing.pool\n", path="src/repro/utils/stats.py")
         )
 
-    def test_executor_exempt(self):
-        assert (
-            lint("import multiprocessing\n", path="src/repro/attacks/executor.py") == []
+    def test_attacks_package_not_exempt(self):
+        assert "RL013" in rule_ids(
+            lint("import multiprocessing\n", path="src/repro/attacks/registry.py")
         )
 
     def test_campaign_package_exempt(self):
@@ -539,4 +539,4 @@ class TestConfinedMultiprocessing:
         assert lint("import multiprocessing\n", path=TEST_PATH) == []
 
     def test_unrelated_import_clean(self):
-        assert lint("import json\n", path="src/repro/obs/runner.py") == []
+        assert lint("import json\n", path="src/repro/obs/telemetry.py") == []

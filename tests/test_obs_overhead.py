@@ -21,8 +21,8 @@ import pytest
 import repro.cpu.kernel.components as components_mod
 import repro.obs.events as events_mod
 import repro.prefetch.ip_stride as ip_stride_mod
-from repro.attacks import attack_names, run_trials
-from repro.obs.runner import run_attack
+from repro.attacks import attack_names, run_on_machine, run_trials
+from repro.cpu.machine import Machine
 from repro.obs.sinks import JsonlSink
 from repro.obs.tracer import Tracer
 
@@ -30,8 +30,11 @@ ROUNDS = 12
 SEED = 7
 
 
-def _covert_run(trace=None):
-    return run_attack("covert", seed=SEED, rounds=ROUNDS, trace=trace)
+def _covert_run(trace=None, seed=SEED, rounds=ROUNDS):
+    """Run covert on a fresh machine; returns the machine after the run."""
+    machine = Machine(seed=seed, trace=trace)
+    run_on_machine("covert", machine, seed=seed, rounds=rounds)
+    return machine
 
 
 class _Exploding:
@@ -71,8 +74,8 @@ class TestDisabledPath:
         for module, name in _HOOK_EVENT_SITES:
             monkeypatch.setattr(module, name, _Exploding)
         # NullTracer and no sanitizer: no tap, so no stub may be touched.
-        run = run_attack("covert", seed=SEED, rounds=ROUNDS, trace=None, sanitize=False)
-        assert run.quality > 0.5
+        batch = run_trials("covert", seed=SEED, rounds=ROUNDS, sanitize=False)
+        assert batch.quality > 0.5
 
     def test_null_tracer_overhead_under_five_percent(self, tmp_path):
         # Interleaved pairs of (NullTracer run, fully-traced JSONL run) on
@@ -114,13 +117,13 @@ class TestDeterminism:
         for seed in (1, 2):
             path = tmp_path / f"seed_{seed}.jsonl"
             tracer = Tracer([JsonlSink(str(path))])
-            run_attack("covert", seed=seed, rounds=6, trace=tracer)
+            _covert_run(trace=tracer, seed=seed, rounds=6)
             tracer.close()
             streams.append(path.read_bytes())
         assert streams[0] != streams[1]
 
     def test_simulated_cycles_identical_across_runs(self):
-        assert _covert_run().machine.cycles == _covert_run().machine.cycles
+        assert _covert_run().cycles == _covert_run().cycles
 
     @pytest.mark.parametrize("name", attack_names())
     def test_taps_do_not_change_aggregates(self, name):

@@ -1,6 +1,6 @@
 """Tests for cross-process telemetry: envelopes, timelines, attribution.
 
-The contract under test (ISSUE 8 acceptance criteria):
+The contract under test:
 
 * the attribution buckets partition the wall interval — coverage is
   100% by construction on synthetic timelines and ≥95% on real runs;
@@ -10,22 +10,16 @@ The contract under test (ISSUE 8 acceptance criteria):
   parent lane, via the shared :class:`ChromeTraceWriter` metadata shape.
 """
 
+import dataclasses
 import json
+from functools import partial
 
 import pytest
 
-from repro.attacks import attack_names
-from repro.attacks.executor import (
-    TaskError,
-    TrialExecutor,
-    TrialTask,
-    build_matrix,
-    run_task_safe,
-    run_task_telemetry,
-)
 from repro.attacks.trial import TrialBatch
-from repro.campaign import CampaignRunner, CampaignSpec, TrialStore
+from repro.campaign import CampaignRunner, CampaignSpec, TrialStore, run_cell
 from repro.campaign.render import render_markdown, render_result
+from repro.campaign.runner import _call_safely
 from repro.obs.telemetry import (
     BUCKETS,
     TaskRecord,
@@ -36,7 +30,6 @@ from repro.obs.telemetry import (
     _interval_union,
     capture_worker,
 )
-from repro.params import preset
 
 
 def canonical(merged: dict[str, TrialBatch]) -> bytes:
@@ -47,10 +40,35 @@ def canonical(merged: dict[str, TrialBatch]) -> bytes:
     ).encode()
 
 
-def tiny_tasks(n_attacks: int = 2, repeats: int = 1) -> list[TrialTask]:
-    return build_matrix(
-        attack_names()[:n_attacks], base_seed=2023, repeats=repeats, rounds=1
+def tiny_spec(**overrides) -> CampaignSpec:
+    base = dict(
+        name="telemetry-t",
+        attacks=("variant1",),
+        repeats=1,
+        rounds=2,
     )
+    base.update(overrides)
+    return CampaignSpec(**base)
+
+
+def tiny_cell():
+    return tiny_spec(rounds=1).cells()[0]
+
+
+#: The runner's worker: a cell in, a ``(key, batch, error)`` triple out.
+safe_run_cell = partial(_call_safely, run_cell)
+
+
+class CrashAlways:
+    """Fault injector: the cell with this repeat index always raises."""
+
+    def __init__(self, repeat: int) -> None:
+        self.repeat = repeat
+
+    def __call__(self, cell):
+        if cell.repeat == self.repeat:
+            raise RuntimeError("persistent injected crash")
+        return run_cell(cell)
 
 
 # --------------------------------------------------------------------------- #
@@ -83,33 +101,31 @@ class TestIntervalUnion:
 
 class TestCaptureWorker:
     def test_batch_envelope(self):
-        task = tiny_tasks(1)[0]
-        envelope = capture_worker(run_task_safe, task)
+        cell = tiny_cell()
+        envelope = capture_worker(safe_run_cell, cell)
         assert isinstance(envelope, TelemetryEnvelope)
-        assert isinstance(envelope.outcome, TrialBatch)
+        key, batch, error = envelope.outcome
+        assert key == cell.key and error is None
+        assert isinstance(batch, TrialBatch)
         worker = envelope.telemetry
         assert worker.ok
         assert worker.end >= worker.start
-        assert worker.n_trials == envelope.outcome.n_trials
+        assert worker.n_trials == batch.n_trials
         assert worker.simulated_cycles > 0
 
     def test_error_envelope_not_ok(self):
-        task = TrialTask(attack="no-such-attack", params=preset("i7-9700"), seed=1)
-        envelope = capture_worker(run_task_safe, task)
-        assert isinstance(envelope.outcome, TaskError)
+        cell = dataclasses.replace(tiny_cell(), experiment="no-such-attack")
+        envelope = capture_worker(safe_run_cell, cell)
+        _key, batch, error = envelope.outcome
+        assert batch is None and "unknown attack" in error
         assert not envelope.telemetry.ok
         assert envelope.telemetry.span_wall == {}
 
-    def test_run_task_telemetry_entry_point(self):
-        envelope = run_task_telemetry(tiny_tasks(1)[0])
-        assert isinstance(envelope, TelemetryEnvelope)
-        assert envelope.telemetry.ok
-
     def test_envelope_outcome_untouched(self):
         """Same seed, wrapped vs bare: the batch payloads are identical."""
-        task = tiny_tasks(1)[0]
-        bare = run_task_safe(task)
-        wrapped = capture_worker(run_task_safe, task).outcome
+        cell = tiny_cell()
+        bare = safe_run_cell(cell)[1]
+        wrapped = capture_worker(safe_run_cell, cell).outcome[1]
         assert canonical({"cell": bare}) == canonical({"cell": wrapped})
 
 
@@ -122,8 +138,8 @@ def synthetic_timeline() -> Timeline:
     """Hand-built two-worker timeline with known bucket values.
 
     wall=10, window=[1,8]; worker 101 busy [1,4], worker 102 busy [4,8]
-    → compute 7, queue 0; serialize 0.5 + merge 0.5 measured outside the
-    window; serial = 10 − 8 = 2.  Exact partition, coverage 1.0.
+    → compute 7, queue 0; serialize 1.0 measured outside the window;
+    serial = 10 − 8 = 2.  Exact partition, coverage 1.0.
     """
     w1 = WorkerTelemetry(pid=101, start=1.0, end=4.0, ok=True, n_trials=3)
     w2 = WorkerTelemetry(pid=102, start=4.0, end=8.0, ok=True, n_trials=4)
@@ -142,8 +158,7 @@ def synthetic_timeline() -> Timeline:
             ),
         ],
         windows=[(1.0, 8.0)],
-        serialize_seconds=0.5,
-        merge_seconds=0.5,
+        serialize_seconds=1.0,
     )
 
 
@@ -152,10 +167,9 @@ class TestTimelineAttribution:
         timeline = synthetic_timeline()
         buckets = timeline.buckets()
         assert set(buckets) == set(BUCKETS)
-        assert buckets["serialize"] == pytest.approx(0.5)
+        assert buckets["serialize"] == pytest.approx(1.0)
         assert buckets["queue"] == pytest.approx(0.0)
         assert buckets["compute"] == pytest.approx(7.0)
-        assert buckets["merge"] == pytest.approx(0.5)
         assert buckets["serial"] == pytest.approx(2.0)
         assert sum(buckets.values()) == pytest.approx(timeline.wall_seconds)
 
@@ -177,7 +191,7 @@ class TestTimelineAttribution:
             jobs=1, origin=0.0, wall_seconds=10.0,
             records=[TaskRecord(index=0, label="x", dispatch_ts=1.0, worker=w)],
             windows=[(1.0, 8.0)],
-            serialize_seconds=0.0, merge_seconds=0.0,
+            serialize_seconds=0.0,
         )
         buckets = timeline.buckets()
         assert buckets["compute"] == pytest.approx(3.0)
@@ -189,7 +203,7 @@ class TestTimelineAttribution:
         timeline = Timeline(
             jobs=1, origin=0.0, wall_seconds=5.0,
             records=[TaskRecord(index=0, label="x", worker=w)],
-            windows=[], serialize_seconds=0.0, merge_seconds=0.0,
+            windows=[], serialize_seconds=0.0,
         )
         buckets = timeline.buckets()
         assert buckets["compute"] == pytest.approx(3.0)
@@ -236,13 +250,13 @@ class TestTimelineRendering:
         names = {
             e["args"]["name"] for e in meta if e["name"] == "process_name"
         }
-        assert names == {"executor (parent)", "worker pid 101", "worker pid 102"}
+        assert names == {"runner (parent)", "worker pid 101", "worker pid 102"}
         # one distinct stable pid per lane, starting at 1
         pids = sorted({e["pid"] for e in meta})
         assert pids == [1, 2, 3]
         slices = [e for e in events if e["ph"] == "X"]
         labels = {e["name"] for e in slices}
-        assert {"serialize", "pool window", "merge", "a", "b"} <= labels
+        assert {"serialize", "pool window", "a", "b"} <= labels
         # timestamps are µs relative to the origin, inside the wall window
         assert all(0.0 <= e["ts"] <= 10.0 * 1e6 for e in slices)
 
@@ -253,24 +267,14 @@ class TestTimelineRendering:
 
 
 class TestTelemetryCollector:
-    def test_serialize_and_merge_phases_accumulate(self):
+    def test_serialize_phase_accumulates(self):
         collector = TelemetryCollector(jobs=1)
         collector.add_request(0, "cell", {"payload": list(range(100))})
         assert collector.records[0].request_bytes > 0
         assert collector.serialize_seconds > 0
-        with collector.merge_phase():
-            pass
-        assert collector.merge_seconds >= 0
         timeline = collector.finish()
         assert isinstance(timeline, Timeline)
         assert timeline.wall_seconds > 0
-
-    def test_merge_phase_charges_time_on_exception(self):
-        collector = TelemetryCollector(jobs=1)
-        with pytest.raises(RuntimeError):
-            with collector.merge_phase():
-                raise RuntimeError("merge blew up")
-        assert collector.merge_seconds > 0
 
     def test_finish_tolerates_open_window(self):
         collector = TelemetryCollector(jobs=2)
@@ -281,65 +285,8 @@ class TestTelemetryCollector:
 
 
 # --------------------------------------------------------------------------- #
-# executor integration
-# --------------------------------------------------------------------------- #
-
-
-class TestExecutorTelemetry:
-    def test_off_by_default(self):
-        result = TrialExecutor(jobs=1).run(tiny_tasks(1))
-        assert result.telemetry is None
-        assert "telemetry" not in result.as_dict()
-
-    def test_serial_timeline_attribution(self):
-        result = TrialExecutor(jobs=1, telemetry=True).run(tiny_tasks(2))
-        timeline = result.telemetry
-        assert isinstance(timeline, Timeline)
-        assert len(timeline.records) == 2
-        assert all(record.worker is not None for record in timeline.records)
-        assert timeline.attribution()["coverage"] >= 0.95
-        assert "telemetry" in result.as_dict()
-
-    def test_aggregates_byte_identical_on_off(self):
-        tasks = tiny_tasks(2)
-        plain = TrialExecutor(jobs=1).run(tasks)
-        instrumented = TrialExecutor(jobs=1, telemetry=True).run(tasks)
-        assert canonical(plain.merged) == canonical(instrumented.merged)
-
-    def test_error_task_recorded_not_ok(self):
-        bad = TrialTask(attack="no-such-attack", params=preset("i7-9700"), seed=1)
-        result = TrialExecutor(jobs=1, telemetry=True).run([bad])
-        assert len(result.errors) == 1
-        (record,) = result.telemetry.records
-        assert record.worker is not None
-        assert not record.worker.ok
-
-    @pytest.mark.slow
-    def test_pool_timeline_matches_serial_aggregates(self):
-        tasks = tiny_tasks(2)
-        serial = TrialExecutor(jobs=1).run(tasks)
-        pooled = TrialExecutor(jobs=2, telemetry=True).run(tasks)
-        assert canonical(serial.merged) == canonical(pooled.merged)
-        timeline = pooled.telemetry
-        assert timeline.jobs == 2
-        assert len(timeline.windows) == 1
-        assert timeline.attribution()["coverage"] >= 0.95
-
-
-# --------------------------------------------------------------------------- #
 # campaign integration
 # --------------------------------------------------------------------------- #
-
-
-def tiny_spec(**overrides) -> CampaignSpec:
-    base = dict(
-        name="telemetry-t",
-        attacks=("variant1",),
-        repeats=1,
-        rounds=2,
-    )
-    base.update(overrides)
-    return CampaignSpec(**base)
 
 
 class TestCampaignTelemetry:
@@ -381,3 +328,30 @@ class TestCampaignTelemetry:
         assert rerun.executed_count == 0
         # every cell came from the cache: nothing was dispatched
         assert len(rerun.telemetry.records) == 0
+
+    def test_error_task_recorded_not_ok(self, tmp_path):
+        result = CampaignRunner(
+            TrialStore(tmp_path / "store"),
+            telemetry=True,
+            max_attempts=1,
+            run_cell_fn=CrashAlways(repeat=0),
+        ).run(tiny_spec())
+        assert len(result.failed) == 1
+        (record,) = result.telemetry.records
+        assert record.worker is not None
+        assert not record.worker.ok
+
+    @pytest.mark.slow
+    def test_pool_timeline_matches_serial_aggregates(self, tmp_path):
+        spec = tiny_spec(attacks=("variant1", "sgx"), rounds=1)
+        serial = CampaignRunner(TrialStore(tmp_path / "serial")).run(spec)
+        pooled = CampaignRunner(
+            TrialStore(tmp_path / "pooled"), jobs=2, telemetry=True
+        ).run(spec)
+        assert json.dumps(serial.aggregates(), sort_keys=True) == json.dumps(
+            pooled.aggregates(), sort_keys=True
+        )
+        timeline = pooled.telemetry
+        assert timeline.jobs == 2
+        assert len(timeline.windows) == 1
+        assert timeline.attribution()["coverage"] >= 0.95
