@@ -109,10 +109,13 @@ bench-figures:
 
 # The CI gate: static analysis, the leakage-verdict matrix, the
 # extraction scan (with its seeded-fixture positive control), a
-# sanitizer-instrumented smoke slice of the test suite, and the
-# observability overhead/determinism tests.
+# sanitizer-instrumented smoke slice of the test suite, the golden
+# traces with the sanitizer tap sharing the event stream (spans and
+# violations publish there too, so this guards tracer-then-sanitizer
+# tap order), and the observability overhead/determinism tests.
 check: lint leakcheck leakcheck-scan
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q tests/test_examples.py tests/test_leakcheck.py \
 		tests/test_memsys_hierarchy.py tests/test_core_variant1.py
+	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q tests/test_kernel_equivalence.py
 	$(PYTHON) -m pytest -x -q tests/test_obs.py tests/test_obs_metrics.py tests/test_obs_overhead.py
 	@echo "check: all gates passed"

@@ -398,8 +398,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         return 2
     try:
         spec = _resolve_campaign_spec(args.campaign[0], args)
-    except ValueError as exc:
-        print(f"campaign {args.action}: {exc}", file=sys.stderr)
+    except (KeyError, ValueError) as exc:
+        # An unknown builtin campaign or machine preset raises KeyError,
+        # whose str() adds quotes: print the message itself.
+        print(f"campaign {args.action}: {exc.args[0]}", file=sys.stderr)
         return 2
     shard = None
     if args.shard is not None:
@@ -547,6 +549,17 @@ _COMMANDS: dict[str, tuple[Callable, str]] = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="afterimage", description="AfterImage (ASPLOS 2023) reproduction experiments"
@@ -620,10 +633,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="I/N",
         help="fleet fill: run/status only this worker's slice of the cells",
     )
-    campaign.add_argument("--jobs", type=int, default=1)
-    campaign.add_argument("--max-attempts", type=int, default=3)
-    campaign.add_argument("--rounds", type=int, default=None, help="override spec rounds")
-    campaign.add_argument("--repeats", type=int, default=None, help="override spec repeats")
+    campaign.add_argument("--jobs", type=_positive_int, default=1)
+    campaign.add_argument("--max-attempts", type=_positive_int, default=3)
+    campaign.add_argument(
+        "--rounds", type=_positive_int, default=None, help="override spec rounds"
+    )
+    campaign.add_argument(
+        "--repeats", type=_positive_int, default=None, help="override spec repeats"
+    )
     campaign.add_argument(
         "--attacks", default=None, help="override spec attacks (comma-separated)"
     )
@@ -665,16 +682,16 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "run":
             cmd.add_argument("attack", nargs="?", default=None, choices=attack_names())
             cmd.add_argument("--suite", action="store_true")
-            cmd.add_argument("--rounds", type=int, default=None)
-            cmd.add_argument("--jobs", type=int, default=1)
-            cmd.add_argument("--repeats", type=int, default=1)
+            cmd.add_argument("--rounds", type=_positive_int, default=None)
+            cmd.add_argument("--jobs", type=_positive_int, default=1)
+            cmd.add_argument("--repeats", type=_positive_int, default=1)
             cmd.add_argument("--format", choices=("text", "json"), default="text")
         if name == "perf":
             cmd.add_argument("attack", nargs="?", default=None, choices=attack_names())
             cmd.add_argument("--suite", action="store_true")
-            cmd.add_argument("--rounds", type=int, default=None)
-            cmd.add_argument("--jobs", type=int, default=2)
-            cmd.add_argument("--repeats", type=int, default=1)
+            cmd.add_argument("--rounds", type=_positive_int, default=None)
+            cmd.add_argument("--jobs", type=_positive_int, default=2)
+            cmd.add_argument("--repeats", type=_positive_int, default=1)
             cmd.add_argument(
                 "--format", choices=("text", "json", "trace"), default="text"
             )

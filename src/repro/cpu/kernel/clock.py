@@ -30,10 +30,6 @@ class KernelClock:
         self.tick_period = tick_period
         self.next_tick = tick_period
 
-    def now(self) -> int:
-        """Current cycle count (signature-compatible with ``zero_clock``)."""
-        return self.cycles
-
     def advance(self, cycles: int) -> None:
         """Burn cycles without attributing them to a context."""
         self.cycles += cycles

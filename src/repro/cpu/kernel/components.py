@@ -20,6 +20,7 @@ installed so the trace shows cause before effect.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable
 
 import numpy as np
@@ -333,10 +334,13 @@ class OSComponent(Component):
 
 
 class TracerTap:
-    """Translates published kernel events into structured trace events.
+    """The one caller of ``Tracer.emit``: the published stream, as trace events.
 
-    Registered *before* the sanitizer tap, preserving the pre-kernel
-    emit-then-audit order on every load and switch.
+    Kernel events are translated into trace events stamped from the kernel
+    clock; trace events the model publishes ready-built (``TlbMiss``,
+    ``PrefetchFill``, ``TableTransition``, spans, sanitizer violations)
+    pass through unchanged.  Registered *before* the sanitizer tap,
+    preserving the emit-then-audit order on every load and switch.
     """
 
     __slots__ = ("tracer", "clock")
@@ -347,9 +351,7 @@ class TracerTap:
 
     def __call__(self, ev) -> None:
         tracer = self.tracer
-        if not tracer.enabled:
-            return
-        from repro.obs.events import Clflush, ContextSwitch, LoadTraced, PrefetchIssued
+        from repro.obs.events import Clflush, ContextSwitch, LoadTraced, PrefetchIssued, TraceEvent
 
         kind = type(ev)
         if kind is LoadRetired:
@@ -386,15 +388,23 @@ class TracerTap:
                     cross_space=ev.cross_space,
                 )
             )
+        elif isinstance(ev, TraceEvent):
+            tracer.emit(ev)
 
 
 class SanitizerTap:
-    """Feeds the runtime invariant auditor from the published stream."""
+    """Feeds the runtime invariant auditor from the published stream.
+
+    Holds the sanitizer weakly (the machine owns it): the TLB, the
+    hierarchy and the IP-stride prefetcher hold the kernel, the kernel
+    holds this tap, and the sanitizer's checkers hold those three, so a
+    strong reference here would close a reference cycle.
+    """
 
     __slots__ = ("sanitizer",)
 
     def __init__(self, sanitizer: Sanitizer) -> None:
-        self.sanitizer = sanitizer
+        self.sanitizer = weakref.proxy(sanitizer)
 
     def __call__(self, ev) -> None:
         kind = type(ev)

@@ -20,6 +20,13 @@ Components receive the kernel at construction and reach it only through:
 * ``self.kernel.clock_of()`` — the machine's clock;
 * explicitly wired ``*_port`` callables (narrow, method-shaped buses).
 
+The model objects under the components — ``TLB``, ``CacheHierarchy`` and
+``IPStridePrefetcher`` — take the same kernel as an optional constructor
+argument and publish their trace events (``TlbMiss``, ``PrefetchFill``,
+``TableTransition``) through it, stamped from ``clock_of()``.  A site whose
+fields cost something to gather checks ``kernel.taps`` first; built
+standalone (``kernel=None``) they publish nothing.
+
 Reaching into the ``Machine`` facade or into a sibling component's
 attributes from component code is a layering violation — flow lint rule
 RL019 enforces this mechanically.
@@ -38,11 +45,13 @@ Tap = Callable[[object], None]
 class SimKernel:
     """A machine's clock plus the taps that observe its published events."""
 
-    __slots__ = ("_clock", "_taps")
+    __slots__ = ("_clock", "taps")
 
     def __init__(self) -> None:
         self._clock = KernelClock()
-        self._taps: list[Tap] = []
+        #: The taps in registration order, fixed once the machine is built;
+        #: empty means nothing observes the machine.
+        self.taps: list[Tap] = []
 
     def clock_of(self) -> KernelClock:
         """The machine's clock (the single source of simulated time)."""
@@ -50,18 +59,18 @@ class SimKernel:
 
     def add_tap(self, tap: Tap) -> None:
         """Append a tap; taps run synchronously in registration order."""
-        self._taps.append(tap)
+        self.taps.append(tap)
 
     def publish(self, kind: type, *fields: object) -> None:
         """Build ``kind(*fields)`` and hand it to every tap, if any."""
-        taps = self._taps
+        taps = self.taps
         if taps:
             event = kind(*fields)
             for tap in taps:
                 tap(event)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimKernel(cycles={self._clock.cycles}, taps={len(self._taps)})"
+        return f"SimKernel(cycles={self._clock.cycles}, taps={len(self.taps)})"
 
 
 class Component:

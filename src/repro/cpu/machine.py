@@ -8,8 +8,11 @@ the components of :mod:`repro.cpu.kernel`.  A load is a plain call chain:
 access → prefetcher observation (and prefetch fills) → retire, which
 prices the noisy measured latency and charges the clock.
 
-The tracer and the sanitizer observe the published event stream as taps;
-a machine with neither builds no published event at all.
+Every observation leaves the model through the kernel's published event
+stream: the pipeline components, the TLB, the cache hierarchy, the IP-stride
+prefetcher, spans and sanitizer violations all publish there, and the
+tracer and the sanitizer observe it as taps.  A machine with neither builds
+no published event at all.
 
 Two modelling rules from the paper are enforced in the prefetch component
 rather than in the prefetcher itself:
@@ -51,7 +54,7 @@ from repro.mmu.page_table import PhysicalMemory
 from repro.mmu.tlb import TLB
 from repro.obs.metrics import Histogram, MetricsRegistry, latency_bounds, snapshot
 from repro.obs.profiler import Span, SpanProfile
-from repro.obs.tracer import NULL_TRACER, Tracer, resolve_tracer
+from repro.obs.tracer import Tracer, resolve_tracer
 from repro.params import PAGE_SIZE, DEFAULT_MACHINE, MachineParams
 from repro.prefetch.adjacent import AdjacentPrefetcher
 from repro.prefetch.base import Prefetcher
@@ -91,10 +94,19 @@ class Machine:
         self.physical = PhysicalMemory(derive_rng(self.rng, "frames"))
         self.aslr = Aslr(derive_rng(self.rng, "aslr"), enabled=params.aslr_enabled)
         self.kaslr = Aslr(derive_rng(self.rng, "kaslr"), enabled=params.aslr_enabled)
-        self.hierarchy = CacheHierarchy(params)
-        self.tlb = TLB(params.tlb_entries, params.page_walk_latency)
+
+        #: The simulation kernel: its clock is the single source of
+        #: simulated time (``cycles``, ``seconds()``, the timer-interrupt
+        #: deadline and span timestamps all read through it), and its taps
+        #: observe the published event stream.
+        self.kernel = SimKernel()
+        self._kernel_clock = self.kernel.clock_of()
+        self.hierarchy = CacheHierarchy(params, kernel=self.kernel)
+        self.tlb = TLB(params.tlb_entries, params.page_walk_latency, kernel=self.kernel)
         ip_stride = IPStridePrefetcher(
-            params.prefetcher, enable_next_page=params.enable_next_page_prefetcher
+            params.prefetcher,
+            enable_next_page=params.enable_next_page_prefetcher,
+            kernel=self.kernel,
         )
         self.noise_prefetchers: list[Prefetcher] = []
         if params.enable_dcu_prefetcher:
@@ -104,29 +116,19 @@ class Machine:
         if params.enable_streamer_prefetcher:
             self.noise_prefetchers.append(StreamerPrefetcher())
 
-        #: The simulation kernel: its clock is the single source of
-        #: simulated time (``cycles``, ``seconds()``, the timer-interrupt
-        #: deadline and span timestamps all read through it), and its taps
-        #: observe the published event stream.
-        self.kernel = SimKernel()
-        self._kernel_clock = self.kernel.clock_of()
-
-        #: Structured tracing (repro.obs); NULL_TRACER when off, so every
-        #: hook site pays a single ``enabled`` attribute check.
-        self.tracer = resolve_tracer(trace)
-        #: Lane-aware sinks (ChromeTraceSink) label a per-machine lane; a
-        #: shared tracer therefore no longer collapses multiple machines
-        #: into one unlabeled Chrome-trace process.
-        self.tracer.register_machine(self)
+        #: Structured tracing (repro.obs); ``None`` when off, and then no
+        #: tracer tap is registered.
+        self.tracer: Tracer | None = resolve_tracer(trace)
+        if self.tracer is not None:
+            #: Lane-aware sinks (ChromeTraceSink) label a per-machine lane,
+            #: so a shared tracer keeps machines apart.
+            self.tracer.register_machine(self)
         #: Cycle-attribution profiler aggregate (``with machine.span(...)``);
         #: always collected — spans are rare compared to loads.
         self.profile = SpanProfile()
         #: Measured-latency histogram straddling the LLC-hit threshold;
         #: always populated — one bisect over ~5 bounds per load.
         self.latency_histogram = Histogram(latency_bounds(params))
-        for component in (self.hierarchy, self.tlb, ip_stride):
-            component.tracer = self.tracer
-            component.clock = self._kernel_clock.now
 
         #: Per-machine ASID sequence: kernel gets 1, user spaces 2, 3, ...
         #: (a process-global counter would make same-seed traces differ).
@@ -194,9 +196,9 @@ class Machine:
         self._os.feed_port = self._prefetch.feed_kernel
         self._os.clear_port = self._prefetch.clear
         self._os.flush_tlb_port = self.tlb.flush
-        # Taps: a real tracer taps here; the sanitizer (built after wiring)
+        # Taps: the tracer taps here; the sanitizer (built after wiring)
         # taps second in ``__init__``, preserving emit-then-audit order.
-        if self.tracer is not NULL_TRACER:
+        if self.tracer is not None:
             kernel.add_tap(TracerTap(self.tracer, self._kernel_clock))
 
     @property
@@ -385,8 +387,8 @@ class Machine:
     def span(self, name: str) -> Span:
         """Open a cycle-attribution span: ``with machine.span("train"): ...``
 
-        The span always feeds ``machine.profile``; ``SpanBegin``/``SpanEnd``
-        events are additionally emitted while tracing is enabled.
+        The span always feeds ``machine.profile``; its ``SpanBegin`` and
+        ``SpanEnd`` events are published through the kernel.
         """
         return Span(self.profile, name, machine=self)
 

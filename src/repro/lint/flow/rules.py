@@ -11,8 +11,9 @@ skipped when the flow pass is off.
   wall-clock reads, unseeded RNG construction, ``id()``, OS entropy and
   set iteration order are tracked through assignments, calls, containers
   and comprehensions; RL014 fires when one reaches a ``Trial``/
-  ``TrialBatch``/trace-event payload, RL015 when one reaches a seed or
-  content-hash input.  Both bug classes silently break the repo's
+  ``TrialBatch``/trace-event payload (a constructor, an ``emit`` or a
+  ``kernel.publish``), RL015 when one reaches a seed or content-hash
+  input.  Both bug classes silently break the repo's
   headline invariants (byte-identical crash-healed aggregates,
   same-seed trace equality) without failing any behavioural test.
 * **RL016/RL017 (fork safety)** — task callables dispatched through a
@@ -21,8 +22,9 @@ skipped when the flow pass is off.
   diverges silently; a future persistent worker shares it for real),
   and dispatch sites must not smuggle open file handles/locks across
   the pool boundary or mutate objects already submitted (RL017).
-* **RL018 (span/sink pairing)** — an explicit ``emit(SpanBegin(...))``
-  must reach a matching ``SpanEnd`` emit, and a constructed
+* **RL018 (span/sink pairing)** — an explicit span begin
+  (``publish(SpanBegin, ...)`` or ``emit(SpanBegin(...))``) must reach a
+  matching ``SpanEnd``, and a constructed
   ``JsonlSink``/``ChromeTraceSink``/``Tracer`` must reach ``close()``
   (or be handed off / returned / ``with``-managed), on **every** CFG
   path out of the scope — an unbalanced span corrupts nesting-aware
@@ -121,8 +123,8 @@ def _trial_sink(call: ast.Call) -> str | None:
     name = chain[-1] if chain else None
     if name in _RESULT_CTORS or name in _EVENT_CTORS:
         return f"{name}()"
-    if isinstance(call.func, ast.Attribute) and call.func.attr == "emit":
-        return ".emit()"
+    if isinstance(call.func, ast.Attribute) and call.func.attr in ("emit", "publish"):
+        return f".{call.func.attr}()"
     return None
 
 
@@ -748,35 +750,28 @@ _CLOSEABLE_CTORS = frozenset({"JsonlSink", "ChromeTraceSink", "Tracer"})
 _PairFact = tuple[str, str, int, ast.AST]
 
 
-def _emitted_event(call: ast.Call) -> tuple[str, ast.Call] | None:
-    """(``"SpanBegin"``/``"SpanEnd"``, event ctor call) for ``*.emit(...)``."""
-    if not (isinstance(call.func, ast.Attribute) and call.func.attr == "emit"):
+def _span_event(call: ast.Call) -> tuple[str, str | None] | None:
+    """(``"SpanBegin"``/``"SpanEnd"``, constant span name or None) for a
+    span leaving through ``*.publish(SpanBegin, cycle, name, ...)`` (how
+    the profiler's spans publish) or ``*.emit(SpanBegin(...))``."""
+    if not isinstance(call.func, ast.Attribute) or not call.args:
         return None
-    if not call.args or not isinstance(call.args[0], ast.Call):
+    if call.func.attr == "publish":
+        kind, fields, keywords = call.args[0], call.args[1:], []
+    elif call.func.attr == "emit" and isinstance(call.args[0], ast.Call):
+        kind, fields, keywords = call.args[0].func, call.args[0].args, call.args[0].keywords
+    else:
         return None
-    event = call.args[0]
-    chain = dotted(event.func)
-    name = chain[-1] if chain else None
-    if name in ("SpanBegin", "SpanEnd"):
-        return name, event
-    return None
-
-
-def _span_name(event: ast.Call) -> str | None:
-    """The constant ``name=`` of a SpanBegin/SpanEnd ctor, else None."""
-    for keyword in event.keywords:
-        if keyword.arg == "name":
-            if isinstance(keyword.value, ast.Constant) and isinstance(
-                keyword.value.value, str
-            ):
-                return keyword.value.value
-            return None
-    # TraceEvent puts ``cycle`` first, so a positional name is arg 2.
-    if len(event.args) >= 2 and isinstance(event.args[1], ast.Constant):
-        value = event.args[1].value
-        if isinstance(value, str):
-            return value
-    return None
+    chain = dotted(kind)
+    which = chain[-1] if chain else None
+    if which not in ("SpanBegin", "SpanEnd"):
+        return None
+    named = [keyword.value for keyword in keywords if keyword.arg == "name"]
+    # TraceEvent puts ``cycle`` first, so a positional name is field 2.
+    node = named[0] if named else (fields[1] if len(fields) >= 2 else None)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return which, node.value
+    return which, None
 
 
 class SpanSinkPairingRule(FlowRule):
@@ -807,8 +802,8 @@ class SpanSinkPairingRule(FlowRule):
         if flow is None:
             return
         for scope in flow.function_scopes():
-            # The profiler's Span halves emit one unpaired event each by
-            # design; a ``close()`` forwarding closes discharges its own.
+            # The profiler's Span halves publish one unpaired event each
+            # by design; a ``close()`` forwarding closes discharges its own.
             if scope.name in ("__enter__", "__exit__", "close"):
                 continue
             yield from self._check_scope(ctx, scope)
@@ -844,7 +839,7 @@ class SpanSinkPairingRule(FlowRule):
             if kind == "span":
                 yield ctx.finding(
                     self, node,
-                    f"emit(SpanBegin(name={key!r})) has no matching SpanEnd on "
+                    f"SpanBegin(name={key!r}) has no matching SpanEnd on "
                     f"some path to the end of `{scope.name}`",
                 )
             else:
@@ -912,10 +907,9 @@ class SpanSinkPairingRule(FlowRule):
     def _transfer_call(
         self, call: ast.Call, fact: set[_PairFact]
     ) -> set[_PairFact]:
-        emitted = _emitted_event(call)
-        if emitted is not None:
-            which, event = emitted
-            name = _span_name(event)
+        span = _span_event(call)
+        if span is not None:
+            which, name = span
             if which == "SpanBegin":
                 if name is not None:
                     fact.add(("span", name, call.lineno, call))
@@ -965,11 +959,10 @@ class SpanSinkPairingRule(FlowRule):
                 for sub in ast.walk(stmt):
                     if not isinstance(sub, ast.Call):
                         continue
-                    emitted = _emitted_event(sub)
-                    if emitted is not None and emitted[0] == "SpanEnd":
-                        name = _span_name(emitted[1])
-                        if name is not None:
-                            closed.add(("span", name))
+                    span = _span_event(sub)
+                    if span is not None and span[0] == "SpanEnd":
+                        if span[1] is not None:
+                            closed.add(("span", span[1]))
                         continue
                     if (
                         isinstance(sub.func, ast.Attribute)

@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.memsys.cache import Cache
 from repro.memsys.slice_hash import SliceHash
-from repro.obs.tracer import NULL_TRACER, zero_clock
+from repro.obs.events import PrefetchFill
 from repro.params import PAGE_SIZE, MachineParams
+
+if TYPE_CHECKING:
+    from repro.cpu.kernel.core import SimKernel
 
 
 class MemoryLevel(enum.IntEnum):
@@ -58,7 +62,7 @@ class CacheHierarchy:
     line of a page; ``SliceHash.slice_of`` stays the reference.
     """
 
-    def __init__(self, params: MachineParams) -> None:
+    def __init__(self, params: MachineParams, kernel: SimKernel | None = None) -> None:
         self.params = params
         self.l1 = Cache(params.l1d)
         self.l2 = Cache(params.l2)
@@ -88,10 +92,9 @@ class CacheHierarchy:
         self.prefetch_useful = 0
         self.prefetch_useless = 0
         self._prefetched_lines: set[int] = set()
-        #: Observability hooks, reassigned by the owning Machine; the
-        #: defaults keep a standalone hierarchy silent.
-        self.tracer = NULL_TRACER
-        self.clock = zero_clock
+        #: The owning machine's kernel, which publishes ``PrefetchFill``; a
+        #: standalone hierarchy (``None``) publishes nothing.
+        self.kernel = kernel
 
     def latency_of(self, level: MemoryLevel) -> int:
         """Load-to-use latency of ``level`` (before timing noise)."""
@@ -191,10 +194,9 @@ class CacheHierarchy:
             del l2_set[next(iter(l2_set))]
         l2_set[line] = None
         self._prefetched_lines.add(line)
-        if self.tracer.enabled:
-            from repro.obs.events import PrefetchFill
-
-            self.tracer.emit(PrefetchFill(cycle=self.clock(), paddr=paddr))
+        kernel = self.kernel
+        if kernel is not None and kernel.taps:
+            kernel.publish(PrefetchFill, kernel.clock_of().cycles, paddr)
 
     def _evict_llc_lru(self, llc_set: dict[int, None]) -> None:
         """Evict the LRU line of a full LLC set, and by inclusion from L1/L2."""

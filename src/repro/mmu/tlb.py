@@ -10,11 +10,15 @@ secret-dependent loads, exactly as streaming applications do naturally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.memsys.addr import page_frame
 from repro.mmu.address_space import AddressSpace
-from repro.obs.tracer import NULL_TRACER, zero_clock
+from repro.obs.events import TlbMiss
 from repro.params import PAGE_SIZE
+
+if TYPE_CHECKING:
+    from repro.cpu.kernel.core import SimKernel
 
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 _PAGE_MASK = PAGE_SIZE - 1
@@ -43,7 +47,9 @@ class TLB:
     kernel pages stay TLB-resident across the user/kernel round trip.
     """
 
-    def __init__(self, n_entries: int, walk_latency: int) -> None:
+    def __init__(
+        self, n_entries: int, walk_latency: int, kernel: SimKernel | None = None
+    ) -> None:
         if n_entries <= 0:
             raise ValueError(f"n_entries must be positive, got {n_entries}")
         self._n_entries = n_entries
@@ -53,10 +59,9 @@ class TLB:
         self._global_keys: set[tuple[int, int]] = set()
         self.hits = 0
         self.misses = 0
-        #: Observability hooks, reassigned by the owning Machine; the
-        #: defaults keep a standalone TLB silent.
-        self.tracer = NULL_TRACER
-        self.clock = zero_clock
+        #: The owning machine's kernel, which publishes ``TlbMiss``; a
+        #: standalone TLB (``None``) publishes nothing.
+        self.kernel = kernel
 
     def translate(self, space: AddressSpace, vaddr: int) -> TranslationResult:
         """Translate ``vaddr`` in ``space``; walks the page table on a miss."""
@@ -69,12 +74,9 @@ class TLB:
             self.hits += 1
             return TranslationResult(vaddr, (frame << _PAGE_SHIFT) | (vaddr & _PAGE_MASK), True, 0)
         self.misses += 1
-        if self.tracer.enabled:
-            from repro.obs.events import TlbMiss
-
-            self.tracer.emit(
-                TlbMiss(cycle=self.clock(), asid=space.asid, vaddr=vaddr, vpage=vpage)
-            )
+        kernel = self.kernel
+        if kernel is not None and kernel.taps:
+            kernel.publish(TlbMiss, kernel.clock_of().cycles, space.asid, vaddr, vpage)
         frame = space.page_table.frame_of(vpage)
         if frame is None:
             raise KeyError(f"page fault: {vaddr:#x} not mapped in {space.name!r}")

@@ -2,10 +2,12 @@
 
 Three layers over the simulated machine:
 
-* **Tracing** (`events`, `tracer`, `sinks`) — typed events emitted from
-  hook points in the CPU, memory hierarchy, prefetcher, TLB and sanitizer,
-  fanned out to ring-buffer / JSONL / Chrome-trace sinks.  Off by default:
-  every hook site costs one attribute check against :data:`NULL_TRACER`.
+* **Tracing** (`events`, `tracer`, `sinks`) — typed events published by
+  the CPU, memory hierarchy, prefetcher, TLB, spans and sanitizer through
+  the machine's kernel; the kernel's ``TracerTap`` hands them to the
+  :class:`Tracer`, which fans them out to ring-buffer / JSONL /
+  Chrome-trace sinks.  Off by default: an untraced machine has no tracer
+  tap, and each publish site costs one check of the kernel's tap list.
 * **Metrics** (`metrics`) — a snapshot of every component counter plus the
   measured-latency histogram straddling the LLC-hit threshold.
 * **Profiling** (`profiler`) — ``with machine.span("train"): ...`` scopes
@@ -56,8 +58,6 @@ from repro.obs.telemetry import (
 )
 from repro.obs.tracer import (
     ENV_VAR,
-    NULL_TRACER,
-    NullTracer,
     Tracer,
     resolve_tracer,
     trace_enabled,
@@ -76,8 +76,6 @@ __all__ = [
     "JsonlSink",
     "LoadTraced",
     "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
     "PrefetchFill",
     "PrefetchIssued",
     "RingBufferSink",

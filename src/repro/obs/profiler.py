@@ -4,7 +4,8 @@
 wall-clock seconds to the named phase.  The aggregate lives on the machine
 (``machine.profile``) and is *always* collected — spans are rare (a few
 per attack round) so the cost is negligible — while the ``SpanBegin`` /
-``SpanEnd`` trace events are only emitted when tracing is enabled.
+``SpanEnd`` trace events are published through the machine's kernel, so
+they are built only when the machine has a tap.
 
 Wall-clock time never enters the event stream (it would break the
 byte-identical-trace guarantee); it is reported only through
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 from time import perf_counter  # repro: noqa[RL003] — profiler measures host time
 from typing import TYPE_CHECKING, Any
+
+from repro.obs.events import SpanBegin, SpanEnd
 
 if TYPE_CHECKING:
     from repro.cpu.machine import Machine
@@ -86,9 +89,11 @@ class SpanProfile:
 class Span:
     """Context manager attributing one scope to ``profile[name]``.
 
-    Reads the machine's simulated clock at entry and exit; emits
-    ``SpanBegin``/``SpanEnd`` events only when the machine's tracer is
-    enabled.  Reentrant use of the same name simply accumulates.
+    Reads the machine's simulated clock at entry and exit and publishes
+    ``SpanBegin``/``SpanEnd`` through the machine's kernel.  The taps are
+    fixed when the machine is built, so a span whose begin was observed
+    always has its end observed too.  Reentrant use of the same name
+    simply accumulates.
     """
 
     def __init__(self, profile: SpanProfile, name: str, machine: "Machine | None" = None) -> None:
@@ -97,33 +102,21 @@ class Span:
         self.machine = machine
         self._start_cycles = 0
         self._start_wall = 0.0
-        self._emitted_begin = False
 
     def __enter__(self) -> "Span":
         self._start_wall = perf_counter()
-        if self.machine is not None:
-            self._start_cycles = self.machine.cycles
-            tracer = self.machine.tracer
-            # Remember whether SpanBegin actually went out: __exit__ must
-            # emit the matching SpanEnd even if ``tracer.enabled`` was
-            # toggled off mid-span (or the body raised), so sinks never
-            # see an unbalanced begin.
-            self._emitted_begin = tracer.enabled
-            if self._emitted_begin:
-                from repro.obs.events import SpanBegin
-
-                tracer.emit(SpanBegin(cycle=self.machine.cycles, name=self.name))
+        machine = self.machine
+        if machine is not None:
+            self._start_cycles = machine.cycles
+            machine.kernel.publish(SpanBegin, self._start_cycles, self.name)
         return self
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         wall = perf_counter() - self._start_wall
         cycles = 0
-        if self.machine is not None:
-            cycles = self.machine.cycles - self._start_cycles
-            if self._emitted_begin:
-                from repro.obs.events import SpanEnd
-
-                self.machine.tracer.emit(
-                    SpanEnd(cycle=self.machine.cycles, name=self.name, cycles=cycles)
-                )
+        machine = self.machine
+        if machine is not None:
+            now = machine.cycles
+            cycles = now - self._start_cycles
+            machine.kernel.publish(SpanEnd, now, self.name, cycles)
         self.profile.add(self.name, cycles, wall)

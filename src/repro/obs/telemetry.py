@@ -126,6 +126,8 @@ class TaskRecord:
     index: int
     label: str
     request_bytes: int = 0
+    #: When the task started waiting for its worker: the pool dispatch, or
+    #: the end of the same worker's previous task if that came later.
     dispatch_ts: float = 0.0
     receive_ts: float = 0.0
     result_bytes: int = 0
@@ -133,7 +135,7 @@ class TaskRecord:
 
     @property
     def queue_seconds(self) -> float:
-        """Host seconds between dispatch and the worker picking it up."""
+        """Host seconds the task waited for its (free) worker to pick it up."""
         if self.worker is None:
             return 0.0
         return max(0.0, self.worker.start - self.dispatch_ts)
@@ -248,9 +250,25 @@ class TelemetryCollector:
                 record.result_bytes = 0
             self.serialize_seconds += perf_counter() - start
 
+    def _queue_from_free_lanes(self) -> None:
+        """Start each task's queue wait when its worker's lane became free.
+
+        ``window_begin`` stamps every task with the pool dispatch time, but
+        a worker computing earlier cells is not queueing the later ones:
+        a task waits from its dispatch or its lane's previous task's end,
+        whichever is later.
+        """
+        lane_free: dict[int, float] = {}
+        ran = [record for record in self.records if record.worker is not None]
+        for record in sorted(ran, key=lambda record: record.worker.start):
+            pid = record.worker.pid
+            record.dispatch_ts = max(record.dispatch_ts, lane_free.get(pid, record.dispatch_ts))
+            lane_free[pid] = record.worker.end
+
     def finish(self, wall_seconds: float | None = None) -> "Timeline":
         if self._window_start is not None:  # tolerate a missing window_end
             self.window_end()
+        self._queue_from_free_lanes()
         wall = (
             wall_seconds
             if wall_seconds is not None

@@ -1,9 +1,11 @@
-"""Tracer: the dispatch point between instrumented components and sinks.
+"""Tracer: fans the machine's trace events out to sinks.
 
-The hot-path contract is the whole design: every hook site in the model
-guards its event construction with ``if self.tracer.enabled:`` — a single
-attribute load — so the default :data:`NULL_TRACER` costs nothing beyond
-that check and the quiet machine stays fast.
+Every observation leaves the model through its kernel: components publish
+with ``kernel.publish(kind, *fields)``, and a traced machine registers a
+``TracerTap`` — the one caller of :meth:`Tracer.emit` in the model — that
+hands each event to this tracer.  An untraced machine has no tracer
+(``Machine.tracer is None``) and no tracer tap, so with no sanitizer
+either, its publish sites build no event at all.
 
 ``Machine(trace=...)`` and the ``REPRO_TRACE`` environment variable mirror
 the ``sanitize=`` / ``REPRO_SANITIZE`` convention from ``repro.sanitize``.
@@ -21,11 +23,6 @@ ENV_VAR = "REPRO_TRACE"
 _TRUTHY = {"1", "true", "yes", "on"}
 
 
-def zero_clock() -> int:
-    """Default cycle source for components not owned by a Machine."""
-    return 0
-
-
 def trace_enabled(explicit: bool | None = None) -> bool:
     """Resolve the tracing default: explicit flag wins, else ``REPRO_TRACE``."""
     if explicit is not None:
@@ -34,14 +31,9 @@ def trace_enabled(explicit: bool | None = None) -> bool:
 
 
 class Tracer:
-    """Fan events out to one or more sinks.
-
-    ``enabled`` is read by every hook site before building an event, so
-    it is a plain attribute, not a property.
-    """
+    """Fan events out to one or more sinks."""
 
     def __init__(self, sinks: list[Sink] | None = None) -> None:
-        self.enabled = True
         self.sinks: list[Sink] = list(sinks) if sinks is not None else [RingBufferSink()]
 
     def emit(self, event: TraceEvent) -> None:
@@ -74,40 +66,13 @@ class Tracer:
             sink.close()
 
 
-class NullTracer(Tracer):
-    """Disabled tracer: ``enabled`` is False and ``emit`` is a no-op.
-
-    Hook sites never reach ``emit`` (they check ``enabled`` first); the
-    no-op is defense in depth for external callers.
-    """
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self.sinks = []
-
-    def emit(self, event: TraceEvent) -> None:
-        pass
-
-    def add_sink(self, sink: Sink) -> None:
-        raise ValueError("NullTracer cannot accept sinks; construct a Tracer instead")
-
-    def register_machine(self, machine: object) -> None:
-        pass
-
-
-#: Shared disabled tracer; safe to share because it holds no state.
-NULL_TRACER = NullTracer()
-
-
-def resolve_tracer(trace: "Tracer | bool | None") -> Tracer:
-    """Map the ``Machine(trace=...)`` argument to a tracer instance.
+def resolve_tracer(trace: "Tracer | bool | None") -> Tracer | None:
+    """Map the ``Machine(trace=...)`` argument to a tracer, or ``None``.
 
     ``None`` consults ``REPRO_TRACE``; ``True`` builds a fresh ring-buffer
-    tracer; ``False`` forces the null tracer; a :class:`Tracer` instance
-    is used as-is.
+    tracer; ``False`` means no tracer; a :class:`Tracer` instance is used
+    as-is.
     """
     if isinstance(trace, Tracer):
         return trace
-    if trace_enabled(trace):
-        return Tracer()
-    return NULL_TRACER
+    return Tracer() if trace_enabled(trace) else None

@@ -31,11 +31,11 @@ Everything in this module encodes a specific reverse-engineering finding:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.memsys.addr import page_frame, same_page
 from repro.memsys.replacement import make_policy
 from repro.obs.events import EntrySnapshot, TableTransition
-from repro.obs.tracer import NULL_TRACER, zero_clock
 from repro.params import IPStrideParams
 from repro.prefetch.base import (
     LoadEvent,
@@ -45,6 +45,9 @@ from repro.prefetch.base import (
     free_slot,
 )
 from repro.utils.bits import low_bits, sign_extend
+
+if TYPE_CHECKING:
+    from repro.cpu.kernel.core import SimKernel
 
 
 @dataclass(slots=True)
@@ -67,7 +70,12 @@ class IPStridePrefetcher(Prefetcher):
 
     name = "ip-stride"
 
-    def __init__(self, params: IPStrideParams, enable_next_page: bool = True) -> None:
+    def __init__(
+        self,
+        params: IPStrideParams,
+        enable_next_page: bool = True,
+        kernel: SimKernel | None = None,
+    ) -> None:
         self.params = params
         self.enable_next_page = enable_next_page
         self._slots: list[IPStrideEntry | None] = [None] * params.n_entries
@@ -81,10 +89,10 @@ class IPStridePrefetcher(Prefetcher):
         self.evictions_by_cause: dict[str, int] = {"confidence0": 0, "plru": 0}
         self.stride_rewrites = 0
         self.clears = 0
-        #: Observability hooks, reassigned by the owning Machine; the
-        #: defaults keep a standalone prefetcher silent.
-        self.tracer = NULL_TRACER
-        self.clock = zero_clock
+        #: The owning machine's kernel, which publishes every
+        #: ``TableTransition``; a standalone prefetcher (``None``)
+        #: publishes nothing.
+        self.kernel = kernel
 
     # ------------------------------------------------------------------ #
     # Observation (Algorithm 1)                                           #
@@ -113,7 +121,8 @@ class IPStridePrefetcher(Prefetcher):
         entry = self._slots[slot]
         assert entry is not None
         self._policy.touch(slot)
-        traced = self.tracer.enabled
+        kernel = self.kernel
+        traced = kernel is not None and kernel.taps
         before = EntrySnapshot.of(entry) if traced else None
 
         requests: list[PrefetchRequest] = []
@@ -139,16 +148,9 @@ class IPStridePrefetcher(Prefetcher):
         entry.last_vaddr = event.vaddr
         entry.last_paddr = event.paddr
         if traced:
-            self.tracer.emit(
-                TableTransition(
-                    cycle=self.clock(),
-                    transition="update",
-                    index=index,
-                    slot=slot,
-                    before=before,
-                    after=EntrySnapshot.of(entry),
-                    triggered=bool(requests),
-                )
+            kernel.publish(
+                TableTransition, kernel.clock_of().cycles, "update", index, slot,
+                before, EntrySnapshot.of(entry), None, bool(requests),
             )
         return requests
 
@@ -205,7 +207,8 @@ class IPStridePrefetcher(Prefetcher):
         measured on hardware.
         """
         self.allocations += 1
-        traced = self.tracer.enabled
+        kernel = self.kernel
+        traced = kernel is not None and kernel.taps
         slot = free_slot(self._slots)
         if slot is None:
             slot, cause = self._victim_slot()
@@ -215,31 +218,18 @@ class IPStridePrefetcher(Prefetcher):
             self.evictions += 1
             self.evictions_by_cause[cause] += 1
             if traced:
-                self.tracer.emit(
-                    TableTransition(
-                        cycle=self.clock(),
-                        transition="evict",
-                        index=victim.index,
-                        slot=slot,
-                        before=EntrySnapshot.of(victim),
-                        after=None,
-                        cause=cause,
-                    )
+                kernel.publish(
+                    TableTransition, kernel.clock_of().cycles, "evict", victim.index, slot,
+                    EntrySnapshot.of(victim), None, cause,
                 )
         entry = IPStrideEntry(index=index, last_vaddr=event.vaddr, last_paddr=event.paddr)
         self._slots[slot] = entry
         self._index_to_slot[index] = slot
         self._policy.fill(slot)
         if traced:
-            self.tracer.emit(
-                TableTransition(
-                    cycle=self.clock(),
-                    transition="allocate",
-                    index=index,
-                    slot=slot,
-                    before=None,
-                    after=EntrySnapshot.of(entry),
-                )
+            kernel.publish(
+                TableTransition, kernel.clock_of().cycles, "allocate", index, slot,
+                None, EntrySnapshot.of(entry),
             )
 
     def _victim_slot(self) -> tuple[int, str]:
@@ -275,17 +265,11 @@ class IPStridePrefetcher(Prefetcher):
         self._slots = [None] * self.params.n_entries
         self._index_to_slot.clear()
         self._policy.reset()
-        if self.tracer.enabled:
-            self.tracer.emit(
-                TableTransition(
-                    cycle=self.clock(),
-                    transition="clear",
-                    index=-1,
-                    slot=-1,
-                    before=None,
-                    after=None,
-                    evicted=evicted,
-                )
+        kernel = self.kernel
+        if kernel is not None and kernel.taps:
+            kernel.publish(
+                TableTransition, kernel.clock_of().cycles, "clear", -1, -1,
+                None, None, None, False, evicted,
             )
 
     def reset_stats(self) -> None:

@@ -20,6 +20,7 @@ import os
 import weakref
 from typing import TYPE_CHECKING
 
+from repro.obs.events import SanitizerViolation
 from repro.sanitize.checkers import HierarchyChecker, PrefetcherChecker, TLBChecker
 from repro.sanitize.violations import InvariantViolation
 
@@ -129,16 +130,12 @@ class Sanitizer:
             raise
 
     def _trace_violation(self, violation: InvariantViolation) -> None:
-        """Mirror a violation into the machine's trace before it propagates."""
-        tracer = self.machine.tracer
-        if tracer.enabled:
-            from repro.obs.events import SanitizerViolation
-
-            tracer.emit(
-                SanitizerViolation(
-                    cycle=self.machine.cycles,
-                    component=violation.component,
-                    invariant=violation.invariant,
-                    message=violation.message,
-                )
-            )
+        """Publish a violation through the machine's kernel before it propagates."""
+        machine = self.machine
+        machine.kernel.publish(
+            SanitizerViolation,
+            machine.cycles,
+            violation.component,
+            violation.invariant,
+            violation.message,
+        )

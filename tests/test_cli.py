@@ -259,6 +259,50 @@ class TestCampaign:
         assert main(self.run_args(tmp_path, "run", "revng-table1", "extra")) == 2
         assert "campaign merge" in capsys.readouterr().err
 
+    def test_unknown_builtin_campaign_exits_2(self, tmp_path, capsys):
+        assert main(["campaign", "run", "nope", "--store", str(tmp_path / "store")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "campaign run: unknown builtin campaign 'nope'; known: "
+            "revng-table1, attacks-vs-noise, defense-matrix"
+        ]
+
+    def test_spec_file_with_unknown_machine_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps({
+            "name": "bad", "attacks": ["sgx"], "machines": ["pentium-3"],
+        }))
+        assert main([
+            "campaign", "run", str(spec_path), "--store", str(tmp_path / "store"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("campaign run: unknown machine preset 'pentium-3'")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "sgx", "--repeats", "0"],
+        ["run", "sgx", "--jobs", "0"],
+        ["run", "sgx", "--rounds", "0"],
+        ["perf", "sgx", "--jobs", "-1"],
+        ["perf", "sgx", "--rounds", "x"],
+        ["campaign", "run", "attacks-vs-noise", "--jobs", "0"],
+        ["campaign", "run", "attacks-vs-noise", "--max-attempts", "0"],
+        ["campaign", "run", "attacks-vs-noise", "--rounds", "0"],
+        ["campaign", "status", "attacks-vs-noise", "--repeats", "0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_non_positive_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: afterimage")
+    assert "Traceback" not in err
+
 
 class TestFleetCli:
     def run_args(self, store, *extra):

@@ -71,6 +71,17 @@ class TestDeterminismTrialTaint:
         )
         assert "RL014" in rule_ids(lint(source))
 
+    def test_tainted_field_published_through_the_kernel(self):
+        source = (
+            "import time\n"
+            "def observe(kernel, index, slot):\n"
+            "    stamp = int(time.perf_counter())  # repro: noqa[RL003]\n"
+            "    kernel.publish(TableTransition, stamp, 'update', index, slot, None, None)\n"
+        )
+        findings = [f for f in lint(source) if f.rule == "RL014"]
+        assert [f.line for f in findings] == [4]
+        assert ".publish() argument 2" in findings[0].message
+
     def test_sorted_launders_set_order(self):
         source = (
             "def emit_all(tracer, names):\n"
@@ -370,6 +381,29 @@ class TestSpanSinkPairing:
         )
         assert "RL018" in rule_ids(lint(source))
 
+    def test_published_span_open_on_early_return_path_is_flagged(self):
+        source = (
+            "def run(kernel, fast):\n"
+            "    kernel.publish(SpanBegin, 0, 'train')\n"
+            "    if fast:\n"
+            "        return 1\n"
+            "    kernel.publish(SpanEnd, 9, 'train', 9)\n"
+            "    return 0\n"
+        )
+        findings = [f for f in lint(source) if f.rule == "RL018"]
+        assert [f.line for f in findings] == [2]
+
+    def test_published_span_end_in_finally_discharges(self):
+        source = (
+            "def run(kernel, body):\n"
+            "    kernel.publish(SpanBegin, 0, 'train')\n"
+            "    try:\n"
+            "        body()\n"
+            "    finally:\n"
+            "        kernel.publish(SpanEnd, 9, 'train', 9)\n"
+        )
+        assert "RL018" not in rule_ids(lint(source))
+
     def test_span_closed_on_every_path_is_clean(self):
         source = (
             "def run(tracer, fast):\n"
@@ -466,6 +500,17 @@ class TestSpanSinkPairing:
             "        self._sink = sink\n"
         )
         assert "RL018" not in rule_ids(lint(source))
+
+    def test_profiler_span_halves_are_exempt(self):
+        source = (
+            "class Span:\n"
+            "    def __enter__(self):\n"
+            "        self.machine.kernel.publish(SpanBegin, 0, 'train')\n"
+            "        return self\n"
+            "    def __exit__(self, *exc):\n"
+            "        self.machine.kernel.publish(SpanEnd, 1, 'train', 1)\n"
+        )
+        assert "RL018" not in rule_ids(lint(source, path="src/repro/obs/profiler.py"))
 
     def test_enter_exit_scopes_are_exempt(self):
         source = (

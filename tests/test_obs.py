@@ -9,28 +9,26 @@ import json
 
 import pytest
 
+from repro.cpu.kernel.core import SimKernel
 from repro.cpu.machine import Machine
+from repro.memsys.hierarchy import CacheHierarchy
 from repro.obs.events import (
     EVENT_TYPES,
     EntrySnapshot,
     LoadTraced,
     PrefetchFill,
     PrefetchIssued,
+    SanitizerViolation,
     SpanBegin,
     SpanEnd,
     TableTransition,
     TlbMiss,
 )
 from repro.obs.sinks import ChromeTraceSink, JsonlSink, RingBufferSink, event_json
-from repro.obs.tracer import (
-    ENV_VAR,
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-    resolve_tracer,
-    trace_enabled,
-)
+from repro.obs.tracer import ENV_VAR, Tracer, resolve_tracer, trace_enabled
 from repro.params import COFFEE_LAKE_I7_9700, PAGE_SIZE
+from repro.prefetch.ip_stride import IPStridePrefetcher
+from repro.sanitize import InvariantViolation
 
 
 class TestEvents:
@@ -204,42 +202,17 @@ class TestSpanExceptionSafety:
         assert machine.profile.spans["inner"].count == 1
         assert machine.profile.spans["outer"].count == 1
 
-    def test_span_end_emitted_after_midspan_disable(self):
-        """Toggling the tracer off mid-span must not strand a SpanBegin."""
-        machine = Machine(COFFEE_LAKE_I7_9700, seed=1, trace=True)
-        with machine.span("probe"):
-            machine.tracer.enabled = False
-        begins, ends = self.balance(machine.tracer)
-        assert begins == ends == ["probe"]
-
-    def test_no_orphan_end_when_begin_was_suppressed(self):
-        """A span opened while disabled stays silent even if enabled later."""
-        machine = Machine(COFFEE_LAKE_I7_9700, seed=1, trace=True)
-        machine.tracer.enabled = False
-        with machine.span("probe"):
-            machine.tracer.enabled = True
-        begins, ends = self.balance(machine.tracer)
-        assert begins == ends == []
-        assert machine.profile.spans["probe"].count == 1
-
 
 class TestTracer:
     def test_default_sink_is_ring_buffer(self):
         tracer = Tracer()
         tracer.emit(PrefetchFill(cycle=0, paddr=0))
         assert len(tracer.events()) == 1
-        assert tracer.enabled
 
-    def test_null_tracer_discards_and_rejects_sinks(self):
-        assert not NULL_TRACER.enabled
-        NULL_TRACER.emit(PrefetchFill(cycle=0, paddr=0))
-        assert NULL_TRACER.events() == []
-        with pytest.raises(ValueError):
-            NULL_TRACER.add_sink(RingBufferSink())
-
-    def test_resolve_tracer(self):
-        assert resolve_tracer(None) is NULL_TRACER
-        assert resolve_tracer(False) is NULL_TRACER
+    def test_resolve_tracer(self, monkeypatch):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        assert resolve_tracer(None) is None
+        assert resolve_tracer(False) is None
         assert isinstance(resolve_tracer(True), Tracer)
         custom = Tracer()
         assert resolve_tracer(custom) is custom
@@ -251,12 +224,13 @@ class TestTracer:
         assert trace_enabled(None)
         assert not trace_enabled(False)  # explicit beats environment
         machine = Machine(COFFEE_LAKE_I7_9700, seed=1)
-        assert machine.tracer.enabled
+        assert isinstance(machine.tracer, Tracer)
 
     def test_machine_defaults_to_null_tracer(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
-        machine = Machine(COFFEE_LAKE_I7_9700, seed=1)
-        assert isinstance(machine.tracer, NullTracer)
+        machine = Machine(COFFEE_LAKE_I7_9700, seed=1, sanitize=False)
+        assert machine.tracer is None
+        assert machine.kernel.taps == []
 
 
 def _strided_run(machine):
@@ -351,6 +325,37 @@ class TestMachineWiring:
             pass
         names = [e.name for e in traced.tracer.events("SpanEnd")]
         assert names == ["loud"]
+
+
+class TestOneObservationPath:
+    """Every trace event reaches the tracer through the machine's kernel."""
+
+    def test_component_events_reach_a_tap_stamped_from_the_kernel_clock(self):
+        kernel = SimKernel()
+        seen = []
+        kernel.add_tap(seen.append)
+        kernel.clock_of().cycles = 42
+        hierarchy = CacheHierarchy(COFFEE_LAKE_I7_9700, kernel=kernel)
+        hierarchy.insert_prefetch(0x1000)
+        prefetcher = IPStridePrefetcher(COFFEE_LAKE_I7_9700.prefetcher, kernel=kernel)
+        prefetcher.clear()
+        assert seen == [
+            PrefetchFill(cycle=42, paddr=0x1000),
+            TableTransition(
+                cycle=42, transition="clear", index=-1, slot=-1, before=None, after=None
+            ),
+        ]
+
+    def test_sanitizer_violation_is_traced_before_the_raise(self):
+        machine = Machine(COFFEE_LAKE_I7_9700, seed=11, trace=True, sanitize=True)
+        _strided_run(machine)
+        machine.ip_stride.entries()[0].confidence = -1  # repro: noqa[RL005]
+        with pytest.raises(InvariantViolation) as excinfo:
+            machine.sanitizer.check_all()
+        last = machine.tracer.events()[-1]
+        assert isinstance(last, SanitizerViolation)
+        assert last.invariant == excinfo.value.invariant
+        assert last.cycle == machine.cycles
 
 
 class TestLeakcheckViaTrace:

@@ -290,6 +290,17 @@ class TestTelemetryCollector:
 
 
 class TestCampaignTelemetry:
+    def test_single_lane_queue_is_within_the_queue_bucket(self, tmp_path):
+        # jobs=1 runs every cell in one lane: a cell waiting behind the
+        # cells before it is not queue time, so the lane's queue seconds
+        # can only be the gaps the queue bucket already counts.
+        runner = CampaignRunner(TrialStore(tmp_path / "store"), jobs=1, telemetry=True)
+        timeline = runner.run(tiny_spec(attacks=("variant1", "sgx", "covert"))).telemetry
+        lanes = timeline.lanes()
+        assert len(lanes) == 1 and len(timeline.records) == 3
+        lane_queue = sum(record.queue_seconds for record in timeline.records)
+        assert lane_queue <= timeline.buckets()["queue"] + 1e-9
+
     def test_runner_attaches_timeline(self, tmp_path):
         runner = CampaignRunner(TrialStore(tmp_path / "store"), telemetry=True)
         result = runner.run(tiny_spec())
