@@ -80,9 +80,10 @@ fleet-smoke:
 	@echo "fleet-smoke: sharded fill + merge is byte-identical to the serial run"
 
 # The kernel refactor gate: the differential suite (golden traces and
-# aggregates).  Mirrors the CI `kernel-equivalence` job.
+# aggregates) and the per-load layer call counts behind the perfbench
+# `.calls` pins.  Mirrors the CI `kernel-equivalence` job.
 kernel-equivalence:
-	$(PYTHON) -m pytest -x -q tests/test_kernel_equivalence.py
+	$(PYTHON) -m pytest -x -q tests/test_kernel_equivalence.py tests/test_load_path.py
 
 # The simulator-speed gate: one untraced and one traced unit of each gated
 # perfbench workload must reproduce perfbench/reference.json (output digest,

@@ -7,15 +7,17 @@ bodies are deliberate transplants of the pre-kernel ``Machine`` methods —
 operation order and RNG draw order are part of the equivalence contract
 pinned by ``tests/test_kernel_equivalence.py``.
 
-Load path (a plain call chain driven by ``Machine.load``)::
+Load path (one function, ``Machine.load``)::
 
-    OSComponent.maybe_tick → TLB.translate → CacheHierarchy.access
-        → PrefetchComponent.observe → RetireComponent.retire
+    OSComponent.maybe_tick (only when due, or on a quiet machine)
+        → TLB.translate → CacheHierarchy.access
+        → prefetcher observe (unfenced loads) → TimingModel.measured
 
-The two modelling rules the old ``Machine`` enforced inline live in the
-prefetch component now: a TLB-missing access does not update prefetcher
-state (paper §4.3), and every prefetch fill is announced *before* it is
-installed so the trace shows cause before effect.
+``Machine.load`` enforces the paper's §4.3 rule inline: a TLB-missing
+access does not update prefetcher state.  The prefetch component keeps the
+OS ports (kernel noise feed, the §8.3 clear) and ``dispatch``, which
+announces every prefetch fill *before* installing it so the trace shows
+cause before effect.
 """
 
 from __future__ import annotations
@@ -34,12 +36,9 @@ from repro.cpu.kernel.events import (
     SwitchCompleted,
     TimerFired,
 )
-from repro.cpu.timing import TimingModel
-from repro.memsys.hierarchy import AccessResult, CacheHierarchy, MemoryLevel
+from repro.memsys.hierarchy import CacheHierarchy, MemoryLevel
 from repro.mmu.address_space import AddressSpace
 from repro.mmu.buffer import Buffer
-from repro.mmu.tlb import TranslationResult
-from repro.obs.metrics import Histogram
 from repro.params import CACHE_LINE_SIZE, NoiseParams
 from repro.prefetch.base import LoadEvent, Prefetcher, PrefetchRequest
 from repro.sanitize.sanitizer import Sanitizer
@@ -76,7 +75,9 @@ class MemoryComponent(Component):
         paddr = ctx.space.translate(vaddr)
         self.hierarchy.clflush(paddr)
         self.clock.charge(ctx, CLFLUSH_CYCLES)
-        self.kernel.publish(LineFlushed, ctx, vaddr, paddr)
+        kernel = self.kernel
+        if kernel.trace_taps:
+            kernel.publish(LineFlushed, ctx, vaddr, paddr)
 
     def insert_prefetch(self, paddr: int) -> None:
         """Port target: install a prefetched line (L2 + LLC, not L1)."""
@@ -96,88 +97,26 @@ class PrefetchComponent(Component):
         self.ip_stride = ip_stride
         self.noise_prefetchers = noise_prefetchers
 
-    def observe(
-        self,
-        ctx: ThreadContext,
-        ip: int,
-        vaddr: int,
-        fenced: bool,
-        translation: TranslationResult,
-        result: AccessResult,
-    ) -> tuple[LoadEvent | None, tuple[PrefetchRequest, ...]]:
-        """Feed one demand load to the prefetchers: ``(event, issued)``.
-
-        A fenced load is invisible to the prefetchers (``(None, ())``).
-        """
-        if fenced:
-            return None, ()
-        event = LoadEvent(ip, vaddr, translation.paddr, result.level, ctx.space.asid)
-        if translation.tlb_hit:
-            return event, self._feed_demand(ctx, event)
-        # §4.3: a TLB-missing first touch creates the translation but
-        # leaves the prefetcher state untouched — only the next-page
-        # prefetcher may carry a pattern across.
-        return event, self._dispatch_all(self.ip_stride.observe_tlb_miss(event), ip)
-
-    def _dispatch_all(
+    def dispatch(
         self, requests: list[PrefetchRequest], trigger_ip: int
     ) -> tuple[PrefetchRequest, ...]:
+        """Install ``requests`` (L2 + LLC); returns them as the issued tuple."""
         # Announce before installing: the trace shows the request leaving
         # the prefetcher, then the fill landing in the hierarchy.
-        publish, insert = self.kernel.publish, self.insert_port
+        kernel, insert = self.kernel, self.insert_port
         for request in requests:
-            publish(PrefetchDispatched, request, trigger_ip)
+            if kernel.trace_taps:
+                kernel.publish(PrefetchDispatched, request, trigger_ip)
             insert(request.paddr)
         return tuple(requests)
 
-    def _feed_demand(
-        self, ctx: ThreadContext, event: LoadEvent
-    ) -> tuple[PrefetchRequest, ...]:
-        translate = ctx.space.translate_or_none
-        issued = self._dispatch_all(self.ip_stride.observe(event, translate), event.ip)
-        for prefetcher in self.noise_prefetchers:
-            requests = prefetcher.observe(event, translate)
-            if requests:
-                issued += self._dispatch_all(requests, event.ip)
-        return issued
-
     def feed_kernel(self, event: LoadEvent) -> None:
         """Port target: kernel noise loads feed only the IP-stride table."""
-        self._dispatch_all(self.ip_stride.observe(event, _null_translate), event.ip)
+        self.dispatch(self.ip_stride.observe(event, _null_translate), event.ip)
 
     def clear(self) -> None:
         """Port target: the §8.3 clear-ip-prefetcher instruction."""
         self.ip_stride.clear()
-
-
-class RetireComponent(Component):
-    """Prices the load, charges its context, and publishes retirement."""
-
-    def __init__(self, kernel: SimKernel, timing: TimingModel, histogram: Histogram) -> None:
-        super().__init__(kernel)
-        self.timing = timing
-        self.histogram = histogram
-        self.clock = kernel.clock_of()
-
-    def retire(
-        self,
-        ctx: ThreadContext,
-        ip: int,
-        vaddr: int,
-        fenced: bool,
-        translation: TranslationResult,
-        result: AccessResult,
-        event: LoadEvent | None,
-        issued: tuple[PrefetchRequest, ...],
-    ) -> int:
-        """Price the load, charge the clock, feed the histogram; the latency."""
-        latency = self.timing.measured(translation.latency + result.latency)
-        self.clock.charge(ctx, latency)
-        self.histogram.observe(latency)
-        self.kernel.publish(
-            LoadRetired, ctx, ip, vaddr, fenced, translation, result, event, issued, latency
-        )
-        return latency
 
 
 class OSComponent(Component):
@@ -227,6 +166,8 @@ class OSComponent(Component):
         self.timer_interrupts = 0
         #: §8.3 mitigation: execute clear-ip-prefetcher on every domain switch.
         self.flush_prefetcher_on_switch = False
+        #: Quiet machines (reverse-engineering benches) take no IRQs.
+        self.quiet = noise.switch_fixed_ips == 0
 
     def switch(self, to_ctx: ThreadContext) -> None:
         """Switch the logical core to ``to_ctx``.
@@ -271,8 +212,7 @@ class OSComponent(Component):
         anyway.
         """
         clock = self.clock
-        if self.noise.switch_fixed_ips == 0:
-            # Quiet machines (reverse-engineering benches) take no IRQs.
+        if self.quiet:
             clock.rearm_tick()
             return
         if clock.cycles < clock.next_tick:
@@ -282,7 +222,9 @@ class OSComponent(Component):
         self._touch_noise_lines(8)
         # Which IRQ handler ran is data-dependent: one variable-IP load.
         self._kernel_prefetcher_noise(self.os_rng.integers(0, _KERNEL_IP_SPACE, size=1).tolist())
-        self.kernel.publish(TimerFired, clock.cycles)
+        kernel = self.kernel
+        if kernel.trace_taps:
+            kernel.publish(TimerFired, clock.cycles)
 
     def run_prefetcher_clear(self) -> None:
         """Execute the proposed privileged clear-ip-prefetcher instruction."""
@@ -394,6 +336,9 @@ class TracerTap:
 
 class SanitizerTap:
     """Feeds the runtime invariant auditor from the published stream.
+
+    Reads ``LoadRetired`` and ``SwitchCompleted`` only, so the machine
+    registers it with ``reads_trace=False``.
 
     Holds the sanitizer weakly (the machine owns it): the TLB, the
     hierarchy and the IP-stride prefetcher hold the kernel, the kernel

@@ -3,8 +3,8 @@
 A :class:`SimKernel` belongs to exactly one ``Machine``.  It holds the
 machine's :class:`~repro.cpu.kernel.clock.KernelClock` and the ordered list
 of taps (tracer, sanitizer) that observe published events.  The pipeline
-itself is a plain call chain: ``Machine.load`` calls the OS tick, the TLB,
-the cache hierarchy, the prefetch component and the retire component in
+itself is one function: ``Machine.load`` runs the OS tick when it is due,
+then the TLB, the cache hierarchy, the prefetchers and the timing model in
 that order, so dispatch has no wall clock, no host-order iteration and no
 randomness of its own.  All randomness stays in the components' seeded RNG
 streams; this is what keeps same-seed runs byte-identical to the committed
@@ -23,9 +23,15 @@ Components receive the kernel at construction and reach it only through:
 The model objects under the components — ``TLB``, ``CacheHierarchy`` and
 ``IPStridePrefetcher`` — take the same kernel as an optional constructor
 argument and publish their trace events (``TlbMiss``, ``PrefetchFill``,
-``TableTransition``) through it, stamped from ``clock_of()``.  A site whose
-fields cost something to gather checks ``kernel.taps`` first; built
+``TableTransition``) through it, stamped from ``clock_of()``; built
 standalone (``kernel=None``) they publish nothing.
+
+Two kinds of taps observe the stream.  The sanitizer's audit tap reads
+only ``LoadRetired`` and ``SwitchCompleted``; every other tap (the tracer,
+a test's recorder) reads every event and is also listed in
+``kernel.trace_taps``.  A site publishing any other kind checks
+``kernel.trace_taps`` first, so a sanitized but untraced machine builds
+no event that nothing reads.
 
 Reaching into the ``Machine`` facade or into a sibling component's
 attributes from component code is a layering violation — flow lint rule
@@ -45,21 +51,31 @@ Tap = Callable[[object], None]
 class SimKernel:
     """A machine's clock plus the taps that observe its published events."""
 
-    __slots__ = ("_clock", "taps")
+    __slots__ = ("_clock", "taps", "trace_taps")
 
     def __init__(self) -> None:
         self._clock = KernelClock()
         #: The taps in registration order, fixed once the machine is built;
         #: empty means nothing observes the machine.
         self.taps: list[Tap] = []
+        #: The taps that read trace events (all but the audit tap); empty
+        #: means a trace-only event would reach no reader.
+        self.trace_taps: list[Tap] = []
 
     def clock_of(self) -> KernelClock:
         """The machine's clock (the single source of simulated time)."""
         return self._clock
 
-    def add_tap(self, tap: Tap) -> None:
-        """Append a tap; taps run synchronously in registration order."""
+    def add_tap(self, tap: Tap, reads_trace: bool = True) -> None:
+        """Append a tap; taps run synchronously in registration order.
+
+        ``reads_trace=False`` declares a tap that reads only the events it
+        audits (``LoadRetired``, ``SwitchCompleted``), so trace-only
+        events are not built for it alone.
+        """
         self.taps.append(tap)
+        if reads_trace:
+            self.trace_taps.append(tap)
 
     def publish(self, kind: type, *fields: object) -> None:
         """Build ``kind(*fields)`` and hand it to every tap, if any."""

@@ -2,20 +2,21 @@
 
 The `Machine` keeps its seed-era public API — construction, ``load``,
 ``clflush``, ``context_switch``, spans, metrics — but the work happens in
-the components of :mod:`repro.cpu.kernel`.  A load is a plain call chain:
+the components of :mod:`repro.cpu.kernel`.  A load is one function,
+:meth:`Machine.load`:
 
-``load(ctx, ip, vaddr)`` → OS timer tick → TLB translate → cache-hierarchy
-access → prefetcher observation (and prefetch fills) → retire, which
-prices the noisy measured latency and charges the clock.
+``load(ctx, ip, vaddr)`` → OS timer tick (when due) → TLB translate →
+cache-hierarchy access → prefetcher observation (and prefetch fills) →
+the noisy measured latency, charged to the clock.
 
 Every observation leaves the model through the kernel's published event
-stream: the pipeline components, the TLB, the cache hierarchy, the IP-stride
+stream: the load path, the TLB, the cache hierarchy, the IP-stride
 prefetcher, spans and sanitizer violations all publish there, and the
 tracer and the sanitizer observe it as taps.  A machine with neither builds
 no published event at all.
 
-Two modelling rules from the paper are enforced in the prefetch component
-rather than in the prefetcher itself:
+Two modelling rules from the paper are enforced on the load path rather
+than in the prefetcher itself:
 
 * a TLB-missing access does **not** update prefetcher state (§4.3);
 * a context switch flushes non-global TLB entries and injects the switch's
@@ -30,6 +31,8 @@ Equivalence with the pre-kernel machine is pinned byte-for-byte by
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from repro.cpu.code import CodeRegion
 from repro.cpu.context import ThreadContext
 from repro.cpu.kernel.components import (
@@ -39,11 +42,11 @@ from repro.cpu.kernel.components import (
     MemoryComponent,
     OSComponent,
     PrefetchComponent,
-    RetireComponent,
     SanitizerTap,
     TracerTap,
 )
 from repro.cpu.kernel.core import SimKernel
+from repro.cpu.kernel.events import LoadRetired
 from repro.cpu.timing import TimingModel
 from repro.memsys.addr import line_index
 from repro.memsys.hierarchy import CacheHierarchy, MemoryLevel
@@ -51,13 +54,13 @@ from repro.mmu.address_space import AddressSpace
 from repro.mmu.aslr import Aslr
 from repro.mmu.buffer import Buffer
 from repro.mmu.page_table import PhysicalMemory
-from repro.mmu.tlb import TLB
+from repro.mmu.tlb import TLB, TranslationResult
 from repro.obs.metrics import Histogram, MetricsRegistry, latency_bounds, snapshot
 from repro.obs.profiler import Span, SpanProfile
 from repro.obs.tracer import Tracer, resolve_tracer
 from repro.params import PAGE_SIZE, DEFAULT_MACHINE, MachineParams
 from repro.prefetch.adjacent import AdjacentPrefetcher
-from repro.prefetch.base import Prefetcher
+from repro.prefetch.base import LoadEvent, Prefetcher, PrefetchRequest
 from repro.prefetch.dcu import DCUPrefetcher
 from repro.prefetch.ip_stride import IPStridePrefetcher
 from repro.prefetch.streamer import StreamerPrefetcher
@@ -165,7 +168,7 @@ class Machine:
         )
         if self.sanitizer is not None:
             self.sanitizer.register_space(self.kernel_space)
-            self.kernel.add_tap(SanitizerTap(self.sanitizer))
+            self.kernel.add_tap(SanitizerTap(self.sanitizer), reads_trace=False)
 
     # ------------------------------------------------------------------ #
     # Kernel assembly                                                     #
@@ -176,7 +179,6 @@ class Machine:
         kernel = self.kernel
         self._memsys = MemoryComponent(kernel, self.hierarchy)
         self._prefetch = PrefetchComponent(kernel, ip_stride, self.noise_prefetchers)
-        self._retire = RetireComponent(kernel, self._timing, self.latency_histogram)
         self._os = OSComponent(
             kernel,
             noise=self.params.noise,
@@ -334,11 +336,47 @@ class Machine:
         Prime+Probe implementations traverse eviction sets as linked lists
         for the same reason.
         """
-        self._os.maybe_tick()
-        translation = self.tlb.translate(ctx.space, vaddr)
-        result = self.hierarchy.access(translation.paddr)
-        event, issued = self._prefetch.observe(ctx, ip, vaddr, fenced, translation, result)
-        return self._retire.retire(ctx, ip, vaddr, fenced, translation, result, event, issued)
+        clock, os_ = self._kernel_clock, self._os
+        if os_.quiet or clock.cycles >= clock.next_tick:
+            os_.maybe_tick()
+        space = ctx.space
+        paddr, walk_latency = self.tlb.translate(space, vaddr)
+        result = self.hierarchy.access(paddr)
+        issued: tuple[PrefetchRequest, ...] = ()
+        if fenced:
+            event = None
+        else:
+            prefetch = self._prefetch
+            event = LoadEvent(ip, vaddr, paddr, result.level, space.asid)
+            if walk_latency:
+                # §4.3: a TLB-missing first touch creates the translation
+                # but leaves the prefetcher state untouched — only the
+                # next-page prefetcher may carry a pattern across.
+                requests = prefetch.ip_stride.observe_tlb_miss(event)
+                if requests:
+                    issued = prefetch.dispatch(requests, ip)
+            else:
+                translate = space.translate_or_none
+                requests = prefetch.ip_stride.observe(event, translate)
+                if requests:
+                    issued = prefetch.dispatch(requests, ip)
+                for prefetcher in prefetch.noise_prefetchers:
+                    requests = prefetcher.observe(event, translate)
+                    if requests:
+                        issued += prefetch.dispatch(requests, ip)
+        latency = self._timing.measured(walk_latency + result.latency)
+        clock.cycles += latency
+        ctx.cpu_cycles += latency
+        histogram = self.latency_histogram
+        histogram.counts[bisect_left(histogram.bounds, latency)] += 1
+        histogram.total += 1
+        kernel = self.kernel
+        if kernel.taps:
+            translation = TranslationResult(vaddr, paddr, not walk_latency, walk_latency)
+            kernel.publish(
+                LoadRetired, ctx, ip, vaddr, fenced, translation, result, event, issued, latency
+            )
+        return latency
 
     def clflush(self, ctx: ThreadContext, vaddr: int) -> None:
         """Flush the line holding ``vaddr`` from the whole hierarchy."""

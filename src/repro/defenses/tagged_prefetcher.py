@@ -57,6 +57,8 @@ class TaggedIPStridePrefetcher(Prefetcher):
         self.params = params if params is not None else IPStrideParams()
         self._slots: list[TaggedEntry | None] = [None] * self.params.n_entries
         self._key_to_slot: dict[tuple[int, int], int] = {}
+        #: Slots holding a confidence-0 entry (see ``IPStridePrefetcher``).
+        self._unconfirmed: set[int] = set()
         self._policy = make_policy(self.params.replacement, self.params.n_entries)
         self.prefetches_issued = 0
         self.evictions = 0
@@ -75,6 +77,7 @@ class TaggedIPStridePrefetcher(Prefetcher):
         entry = self._slots[slot]
         assert entry is not None
         self._policy.touch(slot)
+        self._unconfirmed.discard(slot)
 
         requests: list[PrefetchRequest] = []
         distance = sign_extend(event.paddr - entry.last_paddr, self.params.stride_bits)
@@ -134,6 +137,7 @@ class TaggedIPStridePrefetcher(Prefetcher):
     def clear(self) -> None:
         self._slots = [None] * self.params.n_entries
         self._key_to_slot.clear()
+        self._unconfirmed.clear()
         self._policy.reset()
 
     def _issue(self, paddr: int, stride: int, out: list[PrefetchRequest]) -> None:
@@ -146,8 +150,9 @@ class TaggedIPStridePrefetcher(Prefetcher):
         out.append(PrefetchRequest(paddr=target, source=self.name))
 
     def _allocate(self, key: tuple[int, int], event: LoadEvent) -> None:
-        slot = free_slot(self._slots)
-        if slot is None:
+        if len(self._key_to_slot) < self.params.n_entries:
+            slot = free_slot(self._slots)
+        else:
             slot = self._victim_slot()
             victim = self._slots[slot]
             assert victim is not None
@@ -157,12 +162,13 @@ class TaggedIPStridePrefetcher(Prefetcher):
             asid=event.asid, ip=event.ip, last_vaddr=event.vaddr, last_paddr=event.paddr
         )
         self._key_to_slot[key] = slot
+        self._unconfirmed.add(slot)
         self._policy.fill(slot)
 
     def _victim_slot(self) -> int:
-        for slot, entry in enumerate(self._slots):
-            if entry is not None and entry.confidence == 0:
-                return slot
+        """The lowest-numbered confidence-0 slot, else the Bit-PLRU victim."""
+        if self._unconfirmed:
+            return min(self._unconfirmed)
         return self._policy.victim()
 
 

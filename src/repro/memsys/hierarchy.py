@@ -124,6 +124,8 @@ class CacheHierarchy:
         One pass down the levels with one line number: a hit refreshes the
         line's LRU position, and every level above the one that served the
         access is filled, evicting its least recently used line if full.
+        The LLC slice is ``_slice_of_line`` read inline from the per-frame
+        table once the frame has been seen.
         """
         self.demand_accesses += 1
         line = paddr >> self._line_shift
@@ -148,7 +150,11 @@ class CacheHierarchy:
             result = self._l2_hit
         else:
             l2.misses += 1
-            llc = self.llc[self._slice_of_line(line)]
+            frame_slice = self._frame_slices.get(line >> self._page_line_bits)
+            if frame_slice is None:
+                llc = self.llc[self._slice_of_line(line)]
+            else:
+                llc = self.llc[frame_slice ^ self._in_page_slices[line & self._page_line_mask]]
             llc_set = llc.sets[line & llc.set_mask]
             if line in llc_set:
                 del llc_set[line]
@@ -195,7 +201,7 @@ class CacheHierarchy:
         l2_set[line] = None
         self._prefetched_lines.add(line)
         kernel = self.kernel
-        if kernel is not None and kernel.taps:
+        if kernel is not None and kernel.trace_taps:
             kernel.publish(PrefetchFill, kernel.clock_of().cycles, paddr)
 
     def _evict_llc_lru(self, llc_set: dict[int, None]) -> None:

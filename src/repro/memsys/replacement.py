@@ -112,12 +112,18 @@ class BitPLRU(ReplacementPolicy):
     def __init__(self, n_ways: int) -> None:
         super().__init__(n_ways)
         self._mru = [False] * n_ways
+        #: How many MRU bits are set (``sum(self._mru)``, kept per touch).
+        self._n_set = 0
 
     def touch(self, way: int) -> None:
         self._check_way(way)
-        if not self._mru[way] and sum(self._mru) == self.n_ways - 1:
-            self._mru = [False] * self.n_ways
-        self._mru[way] = True
+        mru = self._mru
+        if not mru[way]:
+            if self._n_set == self.n_ways - 1:
+                mru = self._mru = [False] * self.n_ways
+                self._n_set = 0
+            mru[way] = True
+            self._n_set += 1
 
     def victim(self) -> int:
         for way, bit in enumerate(self._mru):
@@ -129,6 +135,7 @@ class BitPLRU(ReplacementPolicy):
 
     def reset(self) -> None:
         self._mru = [False] * self.n_ways
+        self._n_set = 0
 
 
 class TreePLRU(ReplacementPolicy):

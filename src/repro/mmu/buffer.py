@@ -43,9 +43,10 @@ class Buffer:
 
     def line_addr(self, line: int) -> int:
         """Virtual address of cache line ``line`` (line 0 = buffer start)."""
-        if not 0 <= line < self.n_lines:
+        mapping = self.mapping
+        if not 0 <= line < mapping.n_pages * LINES_PER_PAGE:
             raise IndexError(f"line {line} outside buffer of {self.n_lines} lines")
-        return self.mapping.base + line * CACHE_LINE_SIZE
+        return mapping.base + line * CACHE_LINE_SIZE
 
     def page_line_addr(self, page: int, line_in_page: int) -> int:
         """Virtual address of line ``line_in_page`` within page ``page``."""

@@ -26,7 +26,12 @@ _PAGE_MASK = PAGE_SIZE - 1
 
 @dataclass(slots=True)
 class TranslationResult:
-    """Outcome of translating one virtual address (per-load: not frozen, DESIGN.md §6)."""
+    """Outcome of translating one virtual address, as the kernel's taps see it.
+
+    ``TLB.translate`` itself returns plain ``(paddr, walk_latency)``; the
+    load path builds this record only when a tap observes the machine
+    (per-load: not frozen, DESIGN.md §6).
+    """
 
     vaddr: int
     paddr: int
@@ -52,6 +57,9 @@ class TLB:
     ) -> None:
         if n_entries <= 0:
             raise ValueError(f"n_entries must be positive, got {n_entries}")
+        if walk_latency <= 0:
+            # ``translate`` reports a hit as a zero walk latency.
+            raise ValueError(f"walk_latency must be positive, got {walk_latency}")
         self._n_entries = n_entries
         self._walk_latency = walk_latency
         #: (asid, vpage) -> frame, in LRU order (least recently used first).
@@ -63,8 +71,12 @@ class TLB:
         #: standalone TLB (``None``) publishes nothing.
         self.kernel = kernel
 
-    def translate(self, space: AddressSpace, vaddr: int) -> TranslationResult:
-        """Translate ``vaddr`` in ``space``; walks the page table on a miss."""
+    def translate(self, space: AddressSpace, vaddr: int) -> tuple[int, int]:
+        """Translate ``vaddr`` in ``space``: ``(paddr, walk_latency)``.
+
+        A hit costs no walk, so its walk latency is 0; a miss walks the
+        page table and costs the (positive) walk latency.
+        """
         vpage = vaddr >> _PAGE_SHIFT
         key = (space.asid, vpage)
         entries = self._entries
@@ -72,18 +84,16 @@ class TLB:
         if frame is not None:
             entries[key] = frame
             self.hits += 1
-            return TranslationResult(vaddr, (frame << _PAGE_SHIFT) | (vaddr & _PAGE_MASK), True, 0)
+            return (frame << _PAGE_SHIFT) | (vaddr & _PAGE_MASK), 0
         self.misses += 1
         kernel = self.kernel
-        if kernel is not None and kernel.taps:
+        if kernel is not None and kernel.trace_taps:
             kernel.publish(TlbMiss, kernel.clock_of().cycles, space.asid, vaddr, vpage)
         frame = space.page_table.frame_of(vpage)
         if frame is None:
             raise KeyError(f"page fault: {vaddr:#x} not mapped in {space.name!r}")
         self._install(key, frame, is_global=space.global_pages)
-        return TranslationResult(
-            vaddr, (frame << _PAGE_SHIFT) | (vaddr & _PAGE_MASK), False, self._walk_latency
-        )
+        return (frame << _PAGE_SHIFT) | (vaddr & _PAGE_MASK), self._walk_latency
 
     def warm(self, space: AddressSpace, vaddr: int) -> None:
         """Pre-install the translation for ``vaddr`` without timing effects."""

@@ -7,7 +7,7 @@ Three layers over the simulated machine:
   the machine's kernel; the kernel's ``TracerTap`` hands them to the
   :class:`Tracer`, which fans them out to ring-buffer / JSONL /
   Chrome-trace sinks.  Off by default: an untraced machine has no tracer
-  tap, and each publish site costs one check of the kernel's tap list.
+  tap, and each publish site costs one check of the kernel's tap lists.
 * **Metrics** (`metrics`) — a snapshot of every component counter plus the
   measured-latency histogram straddling the LLC-hit threshold.
 * **Profiling** (`profiler`) — ``with machine.span("train"): ...`` scopes

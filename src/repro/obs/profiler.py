@@ -5,7 +5,7 @@ wall-clock seconds to the named phase.  The aggregate lives on the machine
 (``machine.profile``) and is *always* collected — spans are rare (a few
 per attack round) so the cost is negligible — while the ``SpanBegin`` /
 ``SpanEnd`` trace events are published through the machine's kernel, so
-they are built only when the machine has a tap.
+they are built only when a tap reads trace events (``kernel.trace_taps``).
 
 Wall-clock time never enters the event stream (it would break the
 byte-identical-trace guarantee); it is reported only through
@@ -108,7 +108,8 @@ class Span:
         machine = self.machine
         if machine is not None:
             self._start_cycles = machine.cycles
-            machine.kernel.publish(SpanBegin, self._start_cycles, self.name)
+            if machine.kernel.trace_taps:
+                machine.kernel.publish(SpanBegin, self._start_cycles, self.name)
         return self
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
@@ -118,5 +119,6 @@ class Span:
         if machine is not None:
             now = machine.cycles
             cycles = now - self._start_cycles
-            machine.kernel.publish(SpanEnd, now, self.name, cycles)
+            if machine.kernel.trace_taps:
+                machine.kernel.publish(SpanEnd, now, self.name, cycles)
         self.profile.add(self.name, cycles, wall)

@@ -4,8 +4,8 @@ Every observation leaves the model through its kernel: components publish
 with ``kernel.publish(kind, *fields)``, and a traced machine registers a
 ``TracerTap`` — the one caller of :meth:`Tracer.emit` in the model — that
 hands each event to this tracer.  An untraced machine has no tracer
-(``Machine.tracer is None``) and no tracer tap, so with no sanitizer
-either, its publish sites build no event at all.
+(``Machine.tracer is None``) and no tracer tap, so its publish sites build
+no trace event at all; with no sanitizer either, they build no event.
 
 ``Machine(trace=...)`` and the ``REPRO_TRACE`` environment variable mirror
 the ``sanitize=`` / ``REPRO_SANITIZE`` convention from ``repro.sanitize``.

@@ -80,6 +80,9 @@ class IPStridePrefetcher(Prefetcher):
         self.enable_next_page = enable_next_page
         self._slots: list[IPStrideEntry | None] = [None] * params.n_entries
         self._index_to_slot: dict[int, int] = {}
+        #: Slots whose entry never confirmed a stride (confidence 0): an
+        #: entry gets there on allocation and leaves on its first hit.
+        self._unconfirmed: set[int] = set()
         self._policy = make_policy(params.replacement, params.n_entries)
         self.prefetches_issued = 0
         self.prefetches_dropped_page_cross = 0
@@ -121,8 +124,10 @@ class IPStridePrefetcher(Prefetcher):
         entry = self._slots[slot]
         assert entry is not None
         self._policy.touch(slot)
+        # Every branch below leaves the confidence at 1 or more.
+        self._unconfirmed.discard(slot)
         kernel = self.kernel
-        traced = kernel is not None and kernel.taps
+        traced = kernel is not None and kernel.trace_taps
         before = EntrySnapshot.of(entry) if traced else None
 
         requests: list[PrefetchRequest] = []
@@ -208,9 +213,10 @@ class IPStridePrefetcher(Prefetcher):
         """
         self.allocations += 1
         kernel = self.kernel
-        traced = kernel is not None and kernel.taps
-        slot = free_slot(self._slots)
-        if slot is None:
+        traced = kernel is not None and kernel.trace_taps
+        if len(self._index_to_slot) < self.params.n_entries:
+            slot = free_slot(self._slots)
+        else:
             slot, cause = self._victim_slot()
             victim = self._slots[slot]
             assert victim is not None
@@ -225,6 +231,7 @@ class IPStridePrefetcher(Prefetcher):
         entry = IPStrideEntry(index=index, last_vaddr=event.vaddr, last_paddr=event.paddr)
         self._slots[slot] = entry
         self._index_to_slot[index] = slot
+        self._unconfirmed.add(slot)
         self._policy.fill(slot)
         if traced:
             kernel.publish(
@@ -233,10 +240,12 @@ class IPStridePrefetcher(Prefetcher):
             )
 
     def _victim_slot(self) -> tuple[int, str]:
-        """Victim slot and the cause label for eviction statistics."""
-        for slot, entry in enumerate(self._slots):
-            if entry is not None and entry.confidence == 0:
-                return slot, "confidence0"
+        """Victim slot and the cause label for eviction statistics.
+
+        The lowest-numbered confidence-0 slot, else the Bit-PLRU victim.
+        """
+        if self._unconfirmed:
+            return min(self._unconfirmed), "confidence0"
         return self._policy.victim(), "plru"
 
     # ------------------------------------------------------------------ #
@@ -264,9 +273,10 @@ class IPStridePrefetcher(Prefetcher):
         evicted = len(self._index_to_slot)
         self._slots = [None] * self.params.n_entries
         self._index_to_slot.clear()
+        self._unconfirmed.clear()
         self._policy.reset()
         kernel = self.kernel
-        if kernel is not None and kernel.taps:
+        if kernel is not None and kernel.trace_taps:
             kernel.publish(
                 TableTransition, kernel.clock_of().cycles, "clear", -1, -1,
                 None, None, None, False, evicted,

@@ -132,6 +132,8 @@ class Sanitizer:
     def _trace_violation(self, violation: InvariantViolation) -> None:
         """Publish a violation through the machine's kernel before it propagates."""
         machine = self.machine
+        if not machine.kernel.trace_taps:
+            return
         machine.kernel.publish(
             SanitizerViolation,
             machine.cycles,

@@ -2,6 +2,8 @@
 the detector, demonstrably fail to see it) without breaking the owner."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.gadget import TrainingGadget
 from repro.core.variant1 import BranchLoadVictim, Variant1CrossProcess
@@ -10,7 +12,9 @@ from repro.defenses.detector import PerformanceCounterDetector
 from repro.defenses.oblivious import ObliviousBranchVictim
 from repro.defenses.tagged_prefetcher import TaggedIPStridePrefetcher, harden_machine
 from repro.defenses.toggles import disable_ip_stride_prefetcher
+from repro.memsys.hierarchy import MemoryLevel
 from repro.params import COFFEE_LAKE_I7_9700, PAGE_SIZE
+from repro.prefetch.base import LoadEvent
 from repro.utils.rng import make_rng
 
 
@@ -78,6 +82,58 @@ class TestTaggedPrefetcher:
         assert tagged.entry_for_ip(0x1234) is None
         tagged.clear()
         assert tagged.occupancy == 0
+
+
+class _ScanningTagged(TaggedIPStridePrefetcher):
+    """Reference victim choice: the linear confidence-0 scan that the
+    tagged table's set of confidence-0 slots replaced."""
+
+    def _victim_slot(self):
+        for slot, entry in enumerate(self._slots):
+            if entry is not None and entry.confidence == 0:
+                return slot
+        return self._policy.victim()
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=60),  # 0 is a clear
+            st.integers(min_value=0, max_value=1),  # ASID
+            st.integers(min_value=0, max_value=17),  # IP
+            st.integers(min_value=0, max_value=2),  # line step
+        ),
+        min_size=1,
+        max_size=300,
+    )
+)
+def test_property_tagged_victims_match_linear_scan(ops):
+    """The tagged table picks the same victims as the linear scan, starting
+    from a table full of fresh (confidence-0) entries."""
+    tagged, reference = TaggedIPStridePrefetcher(), _ScanningTagged()
+    last = {}
+
+    def feed(asid, ip, addr):
+        event = LoadEvent(ip, addr, addr, MemoryLevel.DRAM, asid)
+        return tagged.observe(event, lambda _v: None), reference.observe(event, lambda _v: None)
+
+    for ip in range(24):
+        last[0, 100 + ip] = 0x40_0000 + ip * PAGE_SIZE
+        feed(0, 100 + ip, last[0, 100 + ip])
+    for op, asid, ip, step in ops:
+        if op == 0:
+            tagged.clear()
+            reference.clear()
+        else:
+            addr = last.get((asid, ip), 0x80_0000 + (asid * 32 + ip) * PAGE_SIZE) + step * 64
+            last[asid, ip] = addr
+            mine, theirs = feed(asid, ip, addr)
+            assert mine == theirs
+        if tagged.occupancy == tagged.params.n_entries:
+            assert tagged._victim_slot() == reference._victim_slot()
+        assert tagged.evictions == reference.evictions
+        assert tagged._slots == reference._slots
 
 
 class TestDisabledPrefetcher:

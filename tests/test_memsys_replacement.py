@@ -94,6 +94,50 @@ class TestBitPLRU:
         assert plru.victim() != touches[-1]
 
 
+class _SummingBitPLRU:
+    """Reference Bit-PLRU: counts the set MRU bits with ``sum()`` per touch,
+    as the counted ``BitPLRU`` did before it kept the count."""
+
+    def __init__(self, n_ways: int) -> None:
+        self.n_ways = n_ways
+        self.mru = [False] * n_ways
+
+    def touch(self, way: int) -> None:
+        if not self.mru[way] and sum(self.mru) == self.n_ways - 1:
+            self.mru = [False] * self.n_ways
+        self.mru[way] = True
+
+    def victim(self) -> int:
+        return next((way for way, bit in enumerate(self.mru) if not bit), 0)
+
+
+@given(
+    st.integers(min_value=1, max_value=24),
+    st.lists(
+        st.tuples(st.sampled_from(["touch", "fill", "victim", "reset"]), st.integers(0, 23)),
+        max_size=300,
+    ),
+)
+def test_property_counted_bit_plru_matches_summing_reference(n_ways, ops):
+    plru, reference = BitPLRU(n_ways), _SummingBitPLRU(n_ways)
+    for op, way in ops:
+        way %= n_ways
+        if op == "touch":
+            plru.touch(way)
+            reference.touch(way)
+        elif op == "fill":
+            plru.fill(way)
+            reference.touch(way)
+        elif op == "victim":
+            plru.fill(plru.victim())
+            reference.touch(reference.victim())
+        else:
+            plru.reset()
+            reference.mru = [False] * n_ways
+        assert plru.victim() == reference.victim()
+        assert plru._mru == reference.mru
+
+
 class TestTreePLRU:
     def test_requires_power_of_two(self):
         with pytest.raises(ValueError):

@@ -29,13 +29,18 @@ class TestTranslate:
     def test_miss_then_hit(self, tlb, physical):
         space = make_space(physical)
         mapping = space.mmap(PAGE_SIZE)
-        first = tlb.translate(space, mapping.base)
-        assert not first.tlb_hit
-        assert first.latency == 120
-        second = tlb.translate(space, mapping.base + 8)
-        assert second.tlb_hit
-        assert second.latency == 0
-        assert second.paddr == first.paddr + 8
+        first_paddr, first_walk = tlb.translate(space, mapping.base)
+        assert (tlb.misses, tlb.hits) == (1, 0)
+        assert first_walk == 120
+        second_paddr, second_walk = tlb.translate(space, mapping.base + 8)
+        assert (tlb.misses, tlb.hits) == (1, 1)
+        assert second_walk == 0
+        assert second_paddr == first_paddr + 8
+
+    def test_zero_walk_latency_rejected(self):
+        # A hit is reported as a zero walk latency, so a miss must cost more.
+        with pytest.raises(ValueError):
+            TLB(n_entries=4, walk_latency=0)
 
     def test_unmapped_page_faults(self, tlb, physical):
         space = make_space(physical)
@@ -102,7 +107,8 @@ class TestWarm:
         space = make_space(physical)
         mapping = space.mmap(PAGE_SIZE)
         tlb.warm(space, mapping.base)
-        assert tlb.translate(space, mapping.base).tlb_hit
+        assert tlb.translate(space, mapping.base)[1] == 0
+        assert (tlb.misses, tlb.hits) == (0, 1)
 
     def test_warm_unmapped_faults(self, tlb, physical):
         space = make_space(physical)
@@ -199,8 +205,9 @@ def test_property_tlb_matches_list_ordered_reference(ops):
         space = spaces[which]
         vaddr = bases[which] + page * PAGE_SIZE + 8
         if op == "translate":
-            result = tlb.translate(space, vaddr)
-            assert (result.paddr, result.tlb_hit) == reference.translate(space, vaddr)
+            paddr, walk_latency = tlb.translate(space, vaddr)
+            assert (paddr, walk_latency == 0) == reference.translate(space, vaddr)
+            assert walk_latency in (0, 120)
         elif op == "flush":
             tlb.flush(keep_global=keep_global)
             reference.flush(keep_global)

@@ -5,7 +5,8 @@ Two contracts:
 * **Disabled means free** — with no tracer and no sanitizer the machine's
   kernel has no tap, so the hot path must not construct a single event
   object, trace or kernel-published (structural test with raising event
-  stubs), and a
+  stubs); with the sanitizer alone it builds only the events the audit
+  tap reads; and a
   fixed covert run must stay within 5 % of the
   wall clock of a fully-traced run of the same workload (best of three
   interleaved pairs; tracing serializes thousands of events, so a
@@ -20,6 +21,7 @@ from time import perf_counter  # repro: noqa[RL003] — measuring the host is th
 import pytest
 
 import repro.cpu.kernel.components as components_mod
+import repro.cpu.machine as machine_mod
 import repro.memsys.hierarchy as hierarchy_mod
 import repro.mmu.tlb as tlb_mod
 import repro.obs.events as events_mod
@@ -71,12 +73,20 @@ _HOOK_EVENT_SITES = [
     (events_mod, "SpanBegin"),
     (events_mod, "SpanEnd"),
     # The kernel's published events: built only when the machine has a tap.
-    (components_mod, "LoadRetired"),
+    (machine_mod, "LoadRetired"),
+    (machine_mod, "TranslationResult"),
     (components_mod, "PrefetchDispatched"),
     (components_mod, "LineFlushed"),
     (components_mod, "SwitchCompleted"),
     (components_mod, "TimerFired"),
 ]
+
+#: The sites the sanitizer's audit tap reads: a sanitized machine builds them.
+_AUDITED_SITES = {
+    (machine_mod, "LoadRetired"),
+    (machine_mod, "TranslationResult"),
+    (components_mod, "SwitchCompleted"),
+}
 
 
 class TestDisabledPath:
@@ -85,6 +95,15 @@ class TestDisabledPath:
             monkeypatch.setattr(module, name, _Exploding)
         # No tracer and no sanitizer: no tap, so no stub may be touched.
         batch = run_trials("covert", seed=SEED, rounds=ROUNDS, sanitize=False)
+        assert batch.quality > 0.5
+
+    def test_no_trace_event_constructed_when_only_sanitized(self, monkeypatch):
+        # The audit tap reads loads and switches only: a sanitized,
+        # untraced machine must build no trace-only event for it.
+        for module, name in _HOOK_EVENT_SITES:
+            if (module, name) not in _AUDITED_SITES:
+                monkeypatch.setattr(module, name, _Exploding)
+        batch = run_trials("covert", seed=SEED, rounds=ROUNDS, sanitize=True)
         assert batch.quality > 0.5
 
     def test_null_tracer_overhead_under_five_percent(self, tmp_path):

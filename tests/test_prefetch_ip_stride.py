@@ -319,3 +319,55 @@ def test_property_prefetch_targets_stay_in_page(accesses):
     for which, line in accesses:
         for request in load(pf, 0x100 + which, base + which * PAGE_SIZE + line * LINE):
             assert request.paddr // PAGE_SIZE == (base + which * PAGE_SIZE) // PAGE_SIZE
+
+
+class _ScanningIPStride(IPStridePrefetcher):
+    """Reference victim choice: the linear confidence-0 scan that the
+    prefetcher's set of confidence-0 slots replaced."""
+
+    def _victim_slot(self):
+        for slot, entry in enumerate(self._slots):
+            if entry is not None and entry.confidence == 0:
+                return slot, "confidence0"
+        return self._policy.victim(), "plru"
+
+
+#: (op, IP, line step): ``op`` 0 is a clear, anything else one load.
+_TABLE_OPS = st.tuples(
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=35),
+    st.integers(min_value=0, max_value=2),
+)
+
+
+@settings(max_examples=80)
+@given(st.lists(_TABLE_OPS, min_size=1, max_size=300))
+def test_property_confidence0_set_matches_linear_scan(ops):
+    """Same victim slot, same cause and same per-cause eviction counts as
+    the linear scan, over random loads and clears on 36 competing IPs,
+    starting from a table full of fresh (confidence-0) entries."""
+    pf, reference = make_pf(), _ScanningIPStride(IPStrideParams())
+    last = {}
+    for ip in range(12, 36):
+        last[ip] = 0x40_0000 + ip * PAGE_SIZE
+        load(pf, ip, last[ip])
+        load(reference, ip, last[ip])
+    for op, ip, step in ops:
+        if op == 0:
+            pf.clear()
+            reference.clear()
+        else:
+            # Small line steps repeat often enough to confirm strides.
+            addr = last.get(ip, 0x40_0000 + ip * PAGE_SIZE) + step * LINE
+            last[ip] = addr
+            assert load(pf, ip, addr) == load(reference, ip, addr)
+        if pf.occupancy == pf.params.n_entries:
+            assert pf._victim_slot() == reference._victim_slot()
+        assert pf.evictions_by_cause == reference.evictions_by_cause
+        assert [
+            None if entry is None else (entry.index, entry.stride, entry.confidence)
+            for entry in pf._slots
+        ] == [
+            None if entry is None else (entry.index, entry.stride, entry.confidence)
+            for entry in reference._slots
+        ]
