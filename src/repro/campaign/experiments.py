@@ -23,17 +23,22 @@ Defense names on the axis map to machine mutations:
 
 from __future__ import annotations
 
+import inspect
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.attacks.registry import attack_names, run_trials
+from repro.attacks.registry import attack_names, get_attack, run_trials
 from repro.attacks.trial import Trial, TrialBatch
-from repro.campaign.spec import CampaignCell
+from repro.campaign.spec import CampaignCell, CampaignSpec
 
 if TYPE_CHECKING:
     from repro.cpu.machine import Machine
 
-#: Pseudo-experiments owned by the campaign layer (not in the registry).
-CAMPAIGN_EXPERIMENTS = ("table1",)
+#: Pseudo-experiments owned by the campaign layer (not in the registry),
+#: with the options each one reads.
+_CAMPAIGN_OPTIONS: dict[str, tuple[str, ...]] = {
+    "table1": ("max_offset", "stride_lines"),
+}
+CAMPAIGN_EXPERIMENTS = tuple(_CAMPAIGN_OPTIONS)
 
 
 def _flush_on_switch(machine: "Machine") -> None:
@@ -63,6 +68,39 @@ _DEFENSE_APPLIERS: dict[str, Callable[["Machine"], None] | None] = {
 def experiment_names() -> tuple[str, ...]:
     """Everything a campaign may name: registry attacks + pseudo-experiments."""
     return attack_names() + CAMPAIGN_EXPERIMENTS
+
+
+def experiment_options(name: str) -> tuple[str, ...]:
+    """The option keys experiment ``name`` takes: a registry attack's are
+    its scenario factory's keyword parameters after ``(machine, rng)``."""
+    if name in _CAMPAIGN_OPTIONS:
+        return _CAMPAIGN_OPTIONS[name]
+    parameters = inspect.signature(get_attack(name).scenario).parameters
+    return tuple(parameters)[2:]
+
+
+def check_experiments(spec: CampaignSpec) -> None:
+    """Reject a spec naming an unknown experiment, or an option a listed
+    experiment does not take, before any cell runs.
+
+    Options for experiments the spec does not list are ignored, so
+    ``--attacks`` can shrink a spec without dropping its option tables.
+    """
+    known = experiment_names()
+    unknown = sorted(set(spec.attacks) - set(known))
+    if unknown:
+        raise ValueError(
+            f"campaign {spec.name!r} names unknown experiment(s): "
+            f"{', '.join(unknown)}; known: {', '.join(sorted(known))}"
+        )
+    for name in spec.attacks:
+        takes = experiment_options(name)
+        bad = sorted(set(spec.options.get(name, {})) - set(takes))
+        if bad:
+            raise ValueError(
+                f"campaign {spec.name!r}: {name} takes no option(s) "
+                f"{', '.join(bad)}; it takes: {', '.join(takes) or 'none'}"
+            )
 
 
 def defense_applier(defense: str) -> Callable[["Machine"], None] | None:

@@ -40,7 +40,7 @@ from time import perf_counter  # repro: noqa[RL003] — campaign measures host w
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.attacks.trial import TrialBatch
-from repro.campaign.experiments import experiment_names, run_cell
+from repro.campaign.experiments import check_experiments, run_cell
 from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.campaign.store import TrialStore
 from repro.obs.telemetry import TelemetryCollector, TelemetryEnvelope, Timeline, capture_worker
@@ -291,13 +291,7 @@ class CampaignRunner:
         from repro.fleet.partition import partition_cells
 
         start = perf_counter()
-        known = set(experiment_names())
-        unknown = sorted(set(spec.attacks) - known)
-        if unknown:
-            raise ValueError(
-                f"campaign {spec.name!r} names unknown experiment(s): "
-                f"{', '.join(unknown)}; known: {', '.join(sorted(known))}"
-            )
+        check_experiments(spec)
         cells = partition_cells(spec.cells(), shard)
         collector = TelemetryCollector(jobs=self.jobs) if self.telemetry else None
         outcomes: dict[str, CellOutcome] = {}

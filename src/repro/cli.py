@@ -4,18 +4,17 @@ Installed as the ``afterimage`` console script::
 
     afterimage list
     afterimage fig06 [--machine i7-9700]
-    afterimage table3 --rounds 200
-    afterimage rsa --bits 128
     afterimage mitigation
-    afterimage covert --entries 24
     afterimage lint src tests --format json
     afterimage leakcheck --suite
     afterimage leakcheck --scan src/
     afterimage trace sgx --out run.trace.json
     afterimage metrics switch-leak --format json
-    afterimage run rsa --rounds 24
+    afterimage run variant1 --rounds 200
+    afterimage run rsa --format json
     afterimage run --suite --jobs 4
     afterimage campaign list
+    afterimage campaign run rsa-128.toml
     afterimage campaign run attacks-vs-noise --jobs 4
     afterimage campaign run attacks-vs-noise --shard 0/2 --store worker-a
     afterimage campaign merge worker-a worker-b --store merged
@@ -24,14 +23,15 @@ Installed as the ``afterimage`` console script::
     afterimage campaign aggregate attacks-vs-noise --store merged
     afterimage perf --suite --jobs 2 --format json
 
-Each subcommand prints the corresponding figure/table series, like the
-benchmark suite, but without pytest in the loop.  The attack subcommands
-(``variant1``, ``covert``, ``rsa``, ...) are thin aliases over the
-:mod:`repro.attacks` registry; ``run`` drives any registered attack —
-or the whole suite — as a one-axis campaign through
+The figure and table subcommands print their series like the benchmark
+suite, but without pytest in the loop.  Every attack in the
+:mod:`repro.attacks` registry runs one way: ``run <attack>`` (or
+``--suite``) drives it as a one-axis campaign through
 :class:`~repro.campaign.CampaignRunner`, optionally fanned across
 ``--jobs`` workers, and ``perf`` does the same with the runner's
-telemetry on.
+telemetry on.  An attack's knobs (covert ``entries``, rsa ``bits``,
+tracker ``target``, ...) are keyword options of its scenario factory,
+set through a spec's ``[options.<attack>]`` table and ``campaign run``.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ import json
 import sys
 from collections.abc import Callable, Sequence
 
-from repro.attacks.registry import attack_names
-from repro.params import MachineParams, preset
-from repro.utils.rng import make_rng
+from repro.attacks.registry import all_specs, attack_names
+from repro.params import PRESETS, MachineParams, preset
 
 
 def _table(rows: list[tuple], header: tuple[str, ...]) -> None:
@@ -117,87 +116,6 @@ def cmd_fig08(params: MachineParams, args: argparse.Namespace) -> None:
     print(f"Figure 8b: evicted {replacement.evicted_inputs(replacement.run())}")
 
 
-def cmd_variant1(params: MachineParams, args: argparse.Namespace) -> None:
-    from repro.attacks import run_trials
-
-    name = "variant1-thread" if args.mode == "thread" else "variant1"
-    batch = run_trials(name, params, seed=args.seed, rounds=args.rounds)
-    for trial in batch.trials[:10]:
-        print(
-            f"round {trial.index}: secret {trial.true_outcome} "
-            f"-> leaked {trial.inferred_outcome}"
-        )
-    print(
-        f"success rate: {batch.successes}/{batch.n_trials} "
-        f"= {batch.success_rate * 100:.1f}%"
-    )
-
-
-def cmd_variant2(params: MachineParams, args: argparse.Namespace) -> None:
-    from repro.attacks import run_trials
-
-    batch = run_trials("variant2", params, seed=args.seed, rounds=args.rounds)
-    notes = batch.notes
-    if not notes["search_found"]:
-        print("IP search failed; try another --seed")
-        sys.exit(1)
-    print(
-        f"IP search: index {notes['search_index']:#04x} "
-        f"(truth {notes['search_truth_index']:#04x}) "
-        f"in {notes['search_syscalls']} syscalls"
-    )
-    print(
-        f"success rate: {batch.successes}/{batch.n_trials} "
-        f"= {batch.success_rate * 100:.1f}%"
-    )
-
-
-def cmd_covert(params: MachineParams, args: argparse.Namespace) -> None:
-    from repro.attacks import run_trials
-
-    batch = run_trials(
-        "covert",
-        params,
-        seed=args.seed,
-        rounds=args.rounds * args.entries,
-        options={"entries": args.entries},
-    )
-    notes = batch.notes
-    print(
-        f"{args.entries}-entry channel: {notes['bandwidth_bps']:.0f} bps, "
-        f"error rate {notes['error_rate'] * 100:.1f}% over {notes['n_symbols']} symbols"
-    )
-
-
-def cmd_rsa(params: MachineParams, args: argparse.Namespace) -> None:
-    from repro.attacks import run_trials
-
-    batch = run_trials(
-        "rsa",
-        params,
-        seed=args.seed,
-        rounds=args.bits,
-        options={"bits": args.bits, "all_bits": True},
-    )
-    notes = batch.notes
-    print(f"exponent bits: {notes['n_bits']}  passes: {notes['passes']}")
-    print(f"PSC single-shot success: {notes['psc_single_shot'] * 100:.0f}% (paper: 82%)")
-    print(f"bit errors: {notes['bit_errors']}  exact: {notes['exact']}")
-    print(f"projected 1024-bit wall clock: {notes['projected_minutes']:.0f} min")
-
-
-def cmd_sgx(params: MachineParams, args: argparse.Namespace) -> None:
-    from repro.attacks import run_trials
-
-    batch = run_trials("sgx", params, seed=args.seed, rounds=2)
-    for trial in batch.trials:
-        result = trial.payload
-        print(
-            f"secret {trial.true_outcome}: Time1 {result.time1} / Time2 {result.time2} "
-            f"cycles -> inferred {trial.inferred_outcome}"
-        )
-
-
 def cmd_ttest(params: MachineParams, args: argparse.Namespace) -> None:
     from repro.analysis.ttest import TVLATest, tvla_sweep
 
@@ -242,23 +160,6 @@ def cmd_report(params: MachineParams, args: argparse.Namespace) -> None:
         print(f"wrote {args.output}")
     else:
         print(markdown)
-
-
-def cmd_tracker(params: MachineParams, args: argparse.Namespace) -> None:
-    from repro.attacks import run_trials
-
-    batch = run_trials(
-        "tracker",
-        params.quiet(),
-        seed=args.seed,
-        rounds=1,
-        options={"target": args.target},
-    )
-    samples = batch.trials[0].payload
-    _table(
-        [(s.poll_index, s.latency, s.victim_phase.value) for s in samples],
-        ("poll", "cycles", "phase"),
-    )
 
 
 def cmd_run(params: MachineParams, args: argparse.Namespace) -> None:
@@ -326,17 +227,22 @@ def _spec_overrides(args: argparse.Namespace) -> dict:
 
 def _resolve_campaign_spec(name: str, args: argparse.Namespace):
     """A builtin campaign by name, or a ``.toml``/``.json`` spec file,
-    shrunk by any ``--rounds``/``--repeats``/``--attacks`` overrides."""
+    shrunk by any ``--rounds``/``--repeats``/``--attacks`` overrides and
+    checked for unknown experiments and options before any store opens."""
     import dataclasses
 
     from repro.campaign import builtin_campaign, load_spec
+    from repro.campaign.experiments import check_experiments
 
     if name.endswith((".toml", ".json")):
         spec = load_spec(name)
     else:
         spec = builtin_campaign(name)
     overrides = _spec_overrides(args)
-    return dataclasses.replace(spec, **overrides) if overrides else spec
+    if overrides:
+        spec = dataclasses.replace(spec, **overrides)
+    check_experiments(spec)
+    return spec
 
 
 def _cmd_campaign_merge(args: argparse.Namespace) -> int:
@@ -533,12 +439,6 @@ _COMMANDS: dict[str, tuple[Callable, str]] = {
     "fig07": (cmd_fig07, "Figure 7: stride update policy"),
     "table1": (cmd_table1, "Table 1: page-boundary behaviour"),
     "fig08": (cmd_fig08, "Figure 8: capacity and replacement"),
-    "variant1": (cmd_variant1, "Variant 1 attack (--mode thread|process)"),
-    "variant2": (cmd_variant2, "Variant 2 user-kernel attack with IP search"),
-    "covert": (cmd_covert, "Covert channel (--entries 1..24)"),
-    "rsa": (cmd_rsa, "TC-RSA key recovery via PSC"),
-    "sgx": (cmd_sgx, "SGX control-flow extraction"),
-    "tracker": (cmd_tracker, "Figure 15: OpenSSL load tracking"),
     "ttest": (cmd_ttest, "Figure 16: TVLA t-test"),
     "mitigation": (cmd_mitigation, "Section 8.3: mitigation cost study"),
     "report": (cmd_report, "Run headline experiments, emit a markdown report"),
@@ -564,7 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="afterimage", description="AfterImage (ASPLOS 2023) reproduction experiments"
     )
-    parser.add_argument("--machine", default="i7-9700", help="i7-4770 or i7-9700")
+    parser.add_argument(
+        "--machine", default="i7-9700", type=str.lower, choices=PRESETS,
+        help="machine preset",
+    )
     parser.add_argument("--seed", type=int, default=2023)
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("list", help="list available experiments")
@@ -656,25 +559,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for name, (_fn, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        if name in ("variant1", "variant2", "covert"):
-            cmd.add_argument("--rounds", type=int, default=100)
-        if name == "variant1":
-            cmd.add_argument("--mode", choices=("thread", "process"), default="process")
-        if name == "covert":
-            cmd.add_argument("--entries", type=int, default=1)
-        if name == "rsa":
-            cmd.add_argument("--bits", type=int, default=128)
-        if name == "tracker":
-            cmd.add_argument("--target", choices=("key-load", "decrypt"), default="key-load")
         if name == "mitigation":
-            cmd.add_argument("--instructions", type=int, default=60_000)
+            cmd.add_argument("--instructions", type=_positive_int, default=60_000)
         if name == "report":
-            cmd.add_argument("--rounds", type=int, default=100)
+            cmd.add_argument("--rounds", type=_positive_int, default=100)
             cmd.add_argument("--quick", action="store_true")
             cmd.add_argument("-o", "--output", default=None)
         if name in ("trace", "metrics"):
             cmd.add_argument("attack", choices=attack_names())
-            cmd.add_argument("--rounds", type=int, default=None)
+            cmd.add_argument("--rounds", type=_positive_int, default=None)
         if name == "trace":
             cmd.add_argument("--out", default="run.trace.json")
         if name == "metrics":
@@ -708,7 +601,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command in (None, "list"):
             for name, (_fn, help_text) in _COMMANDS.items():
-                print(f"{name:12s} {help_text}")
+                print(f"{name:20s} {help_text}")
+            for spec in all_specs():
+                print(f"{'run ' + spec.name:20s} {spec.description}")
             return 0
         if args.command == "lint":
             # The linter takes no machine model; dispatch before preset lookup.

@@ -5,6 +5,7 @@ traced AND sanitized — and every consumer surface (CLI subcommands,
 report rows, lint rule RL012's covers) stays in sync with the registry.
 """
 
+import argparse
 import json
 
 import pytest
@@ -111,7 +112,9 @@ class TestConsumerSync:
         from repro.cli import build_parser
 
         parser = build_parser()
-        sub = next(a for a in parser._actions if hasattr(a, "choices") and a.choices)
+        sub = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
         for command in ("trace", "metrics", "run"):
             attack_action = next(
                 a for a in sub.choices[command]._actions if a.dest == "attack"

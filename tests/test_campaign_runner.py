@@ -265,6 +265,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown experiment"):
             runner.run(small_spec(attacks=("rowhammer",)))
 
+    def test_unknown_option_rejected_before_any_cell(self, tmp_path):
+        store = TrialStore(tmp_path / "store")
+        runner = CampaignRunner(store)
+        for options in ({"variant1": {"rounds": 3}}, {"table1": {"max_ofset": 2}}):
+            attacks = tuple(options)
+            with pytest.raises(ValueError, match="takes no option"):
+                runner.run(small_spec(attacks=attacks, options=options))
+        assert list(store.keys()) == []
+        # An option table for an experiment the spec does not list is kept:
+        # `--attacks` shrinks builtin specs without editing their options.
+        result = runner.run(small_spec(repeats=1, options={"covert": {"nope": 1}}))
+        assert result.complete
+
     def test_bad_runner_parameters_rejected(self, tmp_path):
         store = TrialStore(tmp_path / "store")
         with pytest.raises(ValueError, match="jobs"):

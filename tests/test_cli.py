@@ -1,9 +1,11 @@
 """Tests for the `afterimage` command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
+from repro.attacks import attack_names
 from repro.cli import build_parser, main
 
 
@@ -12,17 +14,21 @@ class TestParser:
         assert main([]) == 0
         out = capsys.readouterr().out
         assert "fig06" in out and "mitigation" in out
+        for name in attack_names():
+            assert f"run {name} " in out
 
-    def test_unknown_machine_rejected(self):
-        with pytest.raises(KeyError):
+    def test_unknown_machine_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["--machine", "pentium-3", "fig06"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'pentium-3'" in capsys.readouterr().err
 
     def test_all_commands_registered(self):
         parser = build_parser()
-        # argparse stores subparsers choices on the action.
-        sub = next(a for a in parser._actions if hasattr(a, "choices") and a.choices)
-        for name in ("fig06", "fig07", "table1", "fig08", "variant1", "variant2",
-                     "covert", "rsa", "sgx", "tracker", "ttest", "mitigation",
+        sub = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for name in ("fig06", "fig07", "table1", "fig08", "ttest", "mitigation",
                      "trace", "metrics", "run"):
             assert name in sub.choices
 
@@ -49,30 +55,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "26 inputs" in out and "Figure 8b" in out
 
-    def test_variant1_small(self, capsys):
-        assert main(["--seed", "3", "variant1", "--rounds", "10"]) == 0
-        out = capsys.readouterr().out
-        assert "success rate" in out
-
-    def test_covert_small(self, capsys):
-        assert main(["covert", "--rounds", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "bps" in out
-
-    def test_sgx(self, capsys):
-        assert main(["sgx"]) == 0
-        out = capsys.readouterr().out
-        assert "inferred 0" in out and "inferred 1" in out
-
-    def test_tracker(self, capsys):
-        assert main(["tracker"]) == 0
-        out = capsys.readouterr().out
-        assert "key-load" in out
-
-    def test_rsa_small(self, capsys):
-        assert main(["rsa", "--bits", "64"]) == 0
-        out = capsys.readouterr().out
-        assert "exact: True" in out
+    def test_rsa_small(self, tmp_path, capsys):
+        """The retired `rsa --bits 64` is a spec's `[options.rsa]` table."""
+        spec_path = tmp_path / "rsa.json"
+        spec_path.write_text(json.dumps({
+            "name": "rsa-64", "attacks": ["rsa"],
+            "options": {"rsa": {"bits": 64, "all_bits": True}},
+        }))
+        assert main([
+            "campaign", "run", str(spec_path), "--store", str(tmp_path / "store"),
+            "--format", "json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["aggregates"]["rsa/i7-9700/baseline"]["notes"]["exact"] is True
 
     def test_ttest(self, capsys):
         assert main(["ttest"]) == 0
@@ -278,6 +273,29 @@ class TestCampaign:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("campaign run: unknown machine preset 'pentium-3'")
+        spec_path.write_text(json.dumps({"name": "bad", "attacks": ["nope"]}))
+        assert main([
+            "campaign", "run", str(spec_path), "--store", str(tmp_path / "store"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("campaign run: campaign 'bad' names unknown experiment")
+        assert not (tmp_path / "store").exists()
+
+    def test_spec_option_typo_exits_2_before_any_cell(self, tmp_path, capsys):
+        spec_path = tmp_path / "typo.json"
+        spec_path.write_text(json.dumps({
+            "name": "typo", "attacks": ["covert"],
+            "options": {"covert": {"entriez": 4}},
+        }))
+        store = tmp_path / "store"
+        assert main(["campaign", "run", str(spec_path), "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "campaign run: campaign 'typo': covert takes no option(s) entriez; "
+            "it takes: entries"
+        ]
+        assert not store.exists()
 
 
 @pytest.mark.parametrize(
@@ -292,6 +310,10 @@ class TestCampaign:
         ["campaign", "run", "attacks-vs-noise", "--max-attempts", "0"],
         ["campaign", "run", "attacks-vs-noise", "--rounds", "0"],
         ["campaign", "status", "attacks-vs-noise", "--repeats", "0"],
+        ["trace", "sgx", "--rounds", "0"],
+        ["metrics", "sgx", "--rounds", "-1"],
+        ["report", "--quick", "--rounds", "0"],
+        ["mitigation", "--instructions", "0"],
     ],
     ids=lambda argv: " ".join(argv),
 )
