@@ -34,9 +34,9 @@ if TYPE_CHECKING:
     from repro.cpu.machine import Machine
 
 #: Pseudo-experiments owned by the campaign layer (not in the registry),
-#: with the options each one reads.
-_CAMPAIGN_OPTIONS: dict[str, tuple[str, ...]] = {
-    "table1": ("max_offset", "stride_lines"),
+#: with the options each one reads and their defaults.
+_CAMPAIGN_OPTIONS: dict[str, dict[str, Any]] = {
+    "table1": {"max_offset": 4, "stride_lines": 7},
 }
 CAMPAIGN_EXPERIMENTS = tuple(_CAMPAIGN_OPTIONS)
 
@@ -70,18 +70,21 @@ def experiment_names() -> tuple[str, ...]:
     return attack_names() + CAMPAIGN_EXPERIMENTS
 
 
-def experiment_options(name: str) -> tuple[str, ...]:
-    """The option keys experiment ``name`` takes: a registry attack's are
-    its scenario factory's keyword parameters after ``(machine, rng)``."""
+def experiment_options(name: str) -> dict[str, Any]:
+    """The options experiment ``name`` takes, with their defaults: a
+    registry attack's are its scenario factory's keyword parameters after
+    ``(machine, rng)``."""
     if name in _CAMPAIGN_OPTIONS:
         return _CAMPAIGN_OPTIONS[name]
-    parameters = inspect.signature(get_attack(name).scenario).parameters
-    return tuple(parameters)[2:]
+    parameters = list(inspect.signature(get_attack(name).scenario).parameters.values())
+    return {parameter.name: parameter.default for parameter in parameters[2:]}
 
 
 def check_experiments(spec: CampaignSpec) -> None:
-    """Reject a spec naming an unknown experiment, or an option a listed
-    experiment does not take, before any cell runs.
+    """Reject a spec naming an unknown experiment, an option a listed
+    experiment does not take, or an option value whose type is not its
+    default's, before any cell runs: such a spec would fail the same way
+    on every retry.
 
     Options for experiments the spec does not list are ignored, so
     ``--attacks`` can shrink a spec without dropping its option tables.
@@ -101,6 +104,13 @@ def check_experiments(spec: CampaignSpec) -> None:
                 f"campaign {spec.name!r}: {name} takes no option(s) "
                 f"{', '.join(bad)}; it takes: {', '.join(takes) or 'none'}"
             )
+        for key, value in sorted(spec.options.get(name, {}).items()):
+            default = takes[key]
+            if type(value) is not type(default):
+                raise ValueError(
+                    f"campaign {spec.name!r}: {name} option {key} must be "
+                    f"{type(default).__name__} like its default {default!r}, got {value!r}"
+                )
 
 
 def defense_applier(defense: str) -> Callable[["Machine"], None] | None:
@@ -148,9 +158,9 @@ def _run_table1(cell: CampaignCell) -> TrialBatch:
             "the table1 experiment builds its machines internally and "
             f"cannot apply defense {cell.axis.defense!r}; use a 'none' axis"
         )
-    options = cell.options_dict()
-    max_offset = int(options.get("max_offset", 4))
-    stride_lines = int(options.get("stride_lines", 7))
+    options = {**_CAMPAIGN_OPTIONS["table1"], **cell.options_dict()}
+    max_offset = int(options["max_offset"])
+    stride_lines = int(options["stride_lines"])
     rows = PageBoundaryExperiment(cell.params, seed=cell.seed).run(
         stride_lines=stride_lines, max_offset=max_offset
     )

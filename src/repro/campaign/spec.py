@@ -50,6 +50,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -164,9 +165,14 @@ class CampaignCell:
     options: tuple[tuple[str, Any], ...]
     params: MachineParams
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """The content hash under which this cell's batch is stored."""
+        """The content hash under which this cell's batch is stored.
+
+        Computed once per cell: the machine fingerprint behind it costs a
+        full ``asdict`` and SHA-256 of the params, and the runner, the
+        store and the fleet partition each read the key.
+        """
         material = canonical_json(
             {
                 "schema": SCHEMA_VERSION,

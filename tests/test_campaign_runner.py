@@ -278,6 +278,15 @@ class TestValidation:
         result = runner.run(small_spec(repeats=1, options={"covert": {"nope": 1}}))
         assert result.complete
 
+    def test_option_of_wrong_type_rejected_before_any_cell(self, tmp_path):
+        store = TrialStore(tmp_path / "store")
+        runner = CampaignRunner(store)
+        for options in ({"covert": {"entries": "4"}}, {"table1": {"max_offset": 2.0}},
+                        {"rsa": {"all_bits": 1}}):
+            with pytest.raises(ValueError, match="must be"):
+                runner.run(small_spec(attacks=tuple(options), options=options))
+        assert list(store.keys()) == []
+
     def test_bad_runner_parameters_rejected(self, tmp_path):
         store = TrialStore(tmp_path / "store")
         with pytest.raises(ValueError, match="jobs"):

@@ -1,8 +1,10 @@
 """Tests for the secret-extraction channels."""
 
+import dataclasses
+
 import pytest
 
-from repro.channels.eviction_sets import EvictionSet, EvictionSetBuilder, search_eviction_set
+from repro.channels.eviction_sets import EvictionSet, EvictionSetBuilder
 from repro.channels.flush_flush import FLUSH_THRESHOLD, FlushFlush
 from repro.channels.flush_reload import FlushReload
 from repro.channels.prime_probe import PrimeProbe
@@ -10,7 +12,6 @@ from repro.channels.psc import PrefetcherStatusCheck
 from repro.channels.thresholds import classify_hit
 from repro.cpu.machine import Machine
 from repro.mmu.address_space import AddressSpace
-from repro.mmu.buffer import Buffer
 from repro.params import (
     CACHE_LINE_SIZE,
     COFFEE_LAKE_I7_9700,
@@ -120,69 +121,108 @@ class TestEvictionSets:
     def test_pool_too_small_raises(self, setup):
         machine, ctx, shared = setup
         builder = EvictionSetBuilder(machine, ctx, pool_pages=64)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError) as reference:
+            _reference_build(builder, ctx, shared.line_addr(0))
+        with pytest.raises(RuntimeError, match=r"^pool of 64 pages yielded only \d+ of 12 "):
             builder.build_for_address(ctx, shared.line_addr(0))
-
-    def test_search_based_eviction_set(self, setup):
-        """The timing-only (no-pagemap) builder finds a working set."""
-        machine, ctx, shared = setup
-        pool = Buffer(ctx.space.mmap(8192 * PAGE_SIZE, locked=True, name="pool"))
-        machine.warm_buffer_tlb(ctx, pool)
-        target = shared.line_addr(3)
-        found = search_eviction_set(machine, ctx, target, pool, probe_ip=0x710000)
-        machine.load(ctx, 0x700000, target)
-        for vaddr in found:
-            machine.load(ctx, 0x700008, vaddr, fenced=True)
-        assert not machine.is_cached(ctx, target)
+        with pytest.raises(RuntimeError) as page:
+            builder.build_for_page(ctx, shared.base)
+        assert str(page.value) == str(reference.value)
 
     @pytest.mark.parametrize("params", [HASWELL_I7_4770, COFFEE_LAKE_I7_9700], ids=lambda p: p.name)
-    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("seed", [0, 7, 171])
     def test_page_scan_matches_reference(self, params, seed, monkeypatch):
-        """``build_for_page`` returns the sets, and makes the page walks, of
-        the line-indexed scan it replaced (``_reference_build_for_page``)."""
-        walks = 0
-        translate = AddressSpace.translate
-
-        def counting_translate(space, vaddr):
-            nonlocal walks
-            walks += 1
-            return translate(space, vaddr)
-
-        monkeypatch.setattr(AddressSpace, "translate", counting_translate)
+        """``build_for_page`` returns the sets of the line-indexed scan it
+        replaced (``_reference_build_for_page``).  Counting the builder's
+        index, it walks each pool page once plus each victim line once,
+        where the reference scans the pool for every line."""
+        walks = _count_walks(monkeypatch)
         results = []
         for build in (_reference_build_for_page, EvictionSetBuilder.build_for_page):
-            machine = Machine(params.quiet(), seed=seed)
-            ctx = machine.new_thread("attacker")
-            victim = machine.new_buffer(ctx.space, PAGE_SIZE, name="victim")
+            machine, ctx, victim = _victim_machine(params, seed)
+            walks[0] = 0
             builder = EvictionSetBuilder(machine, ctx)
-            walks = 0
+            index_walks = walks[0]
             sets = build(builder, ctx, victim.base)
-            results.append(([(es.slice_id, es.set_index, es.addresses) for es in sets], walks))
-        assert results[1] == results[0]
+            results.append((
+                [(es.slice_id, es.set_index, es.addresses) for es in sets],
+                index_walks,
+                walks[0] - index_walks,
+            ))
+        (reference_sets, _, reference_walks), (sets, index_walks, page_walks) = results
+        assert sets == reference_sets
+        assert index_walks + page_walks < reference_walks
+        assert index_walks + page_walks <= builder.pool.n_pages + LINES_PER_PAGE
+
+    @pytest.mark.parametrize("params", [HASWELL_I7_4770, COFFEE_LAKE_I7_9700], ids=lambda p: p.name)
+    def test_extra_ways_match_reference(self, params):
+        machine, ctx, victim = _victim_machine(params, seed=7)
+        builder = EvictionSetBuilder(machine, ctx)
+        for line in (0, 17, 63):
+            vaddr = victim.line_addr(line)
+            es = builder.build_for_address(ctx, vaddr, extra_ways=3)
+            assert len(es) == machine.params.llc.ways + 3
+            assert es == _reference_build(builder, ctx, vaddr, extra_ways=3)
+
+    def test_llc_sets_not_a_multiple_of_64_rejected(self):
+        params = dataclasses.replace(
+            COFFEE_LAKE_I7_9700, llc=dataclasses.replace(COFFEE_LAKE_I7_9700.llc, sets=32)
+        )
+        machine = Machine(params.quiet(), seed=0)
+        ctx = machine.new_thread("attacker")
+        with pytest.raises(ValueError, match="multiple of 64, got 32"):
+            EvictionSetBuilder(machine, ctx)
+
+
+def _count_walks(monkeypatch) -> list[int]:
+    """Count ``AddressSpace.translate`` calls (page walks) into a one-item list."""
+    walks = [0]
+    translate = AddressSpace.translate
+
+    def counting_translate(space, vaddr):
+        walks[0] += 1
+        return translate(space, vaddr)
+
+    monkeypatch.setattr(AddressSpace, "translate", counting_translate)
+    return walks
+
+
+def _victim_machine(params, seed):
+    machine = Machine(params.quiet(), seed=seed)
+    ctx = machine.new_thread("attacker")
+    victim = machine.new_buffer(ctx.space, PAGE_SIZE, name="victim")
+    return machine, ctx, victim
 
 
 def _reference_build_for_page(builder, ctx, page_base_vaddr):
+    return [
+        _reference_build(builder, ctx, page_base_vaddr + line * CACHE_LINE_SIZE)
+        for line in range(LINES_PER_PAGE)
+    ]
+
+
+def _reference_build(builder, ctx, vaddr, extra_ways=0):
     """The pool scan as first written: one ``page_line_addr`` per pool page,
     one walk per scanned page and one per candidate line."""
     machine, pool, space = builder.machine, builder.pool, builder.ctx.space
-    hierarchy = machine.hierarchy
-    sets = []
-    for line in range(LINES_PER_PAGE):
-        slice_id, set_index = builder.target_of(ctx, page_base_vaddr + line * CACHE_LINE_SIZE)
-        es = EvictionSet(slice_id=slice_id, set_index=set_index)
-        for page in range(pool.n_pages):
-            page_vaddr = pool.page_line_addr(page, 0)
-            frame = space.translate(page_vaddr) // PAGE_SIZE
-            line_in_page = (set_index - frame * LINES_PER_PAGE) % machine.params.llc.sets
-            if line_in_page >= LINES_PER_PAGE:
-                continue
-            vaddr = page_vaddr + line_in_page * CACHE_LINE_SIZE
-            if hierarchy.slice_hash.slice_of(space.translate(vaddr)) == slice_id:
-                es.addresses.append(vaddr)
-                if len(es) == machine.params.llc.ways:
-                    break
-        sets.append(es)
-    return sets
+    needed = machine.params.llc.ways + extra_ways
+    slice_id, set_index = machine.hierarchy.llc_set_index(ctx.space.translate(vaddr))
+    es = EvictionSet(slice_id=slice_id, set_index=set_index)
+    for page in range(pool.n_pages):
+        page_vaddr = pool.page_line_addr(page, 0)
+        frame = space.translate(page_vaddr) // PAGE_SIZE
+        line_in_page = (set_index - frame * LINES_PER_PAGE) % machine.params.llc.sets
+        if line_in_page >= LINES_PER_PAGE:
+            continue
+        candidate = page_vaddr + line_in_page * CACHE_LINE_SIZE
+        if machine.hierarchy.slice_hash.slice_of(space.translate(candidate)) == slice_id:
+            es.addresses.append(candidate)
+            if len(es) == needed:
+                return es
+    raise RuntimeError(
+        f"pool of {pool.n_pages} pages yielded only {len(es)} of {needed} lines "
+        f"for slice {slice_id} set {set_index}; increase pool_pages"
+    )
 
 
 class TestPrimeProbe:

@@ -297,6 +297,20 @@ class TestCampaign:
         ]
         assert not store.exists()
 
+    def test_spec_option_of_wrong_type_exits_2_before_any_cell(self, tmp_path, capsys):
+        spec_path = tmp_path / "typed.json"
+        spec_path.write_text(json.dumps({
+            "name": "typed", "attacks": ["rsa"], "options": {"rsa": {"bits": "64"}},
+        }))
+        store = tmp_path / "store"
+        assert main(["campaign", "run", str(spec_path), "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "campaign run: campaign 'typed': rsa option bits must be int "
+            "like its default 48, got '64'"
+        ]
+        assert not store.exists()
+
 
 @pytest.mark.parametrize(
     "argv",
