@@ -11,7 +11,7 @@ test:
 test-sanitize:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q
 
-# Full pass: syntactic rules + the CFG/dataflow rules (RL014-RL019).
+# Full pass: syntactic rules + the CFG/dataflow rules (RL014-RL018).
 lint:
 	$(PYTHON) -m repro.lint src tests benchmarks examples
 
@@ -80,10 +80,14 @@ fleet-smoke:
 	@echo "fleet-smoke: sharded fill + merge is byte-identical to the serial run"
 
 # The kernel refactor gate: the differential suite (golden traces and
-# aggregates) and the per-load layer call counts behind the perfbench
-# `.calls` pins.  Mirrors the CI `kernel-equivalence` job.
+# aggregates), the machine's lifetime (no reference cycle keeps a dropped
+# machine alive) and its swappable IP-stride table, and the per-load layer
+# call counts behind the perfbench `.calls` pins.  Mirrors the CI
+# `kernel-equivalence` job.
+KERNEL_EQUIVALENCE_TESTS := tests/test_kernel_equivalence.py \
+	tests/test_cpu_machine.py::TestLifetime tests/test_cpu_machine.py::TestPrefetcherSwap
 kernel-equivalence:
-	$(PYTHON) -m pytest -x -q tests/test_kernel_equivalence.py tests/test_load_path.py
+	$(PYTHON) -m pytest -x -q $(KERNEL_EQUIVALENCE_TESTS) tests/test_load_path.py
 
 # The simulator-speed gate: one untraced and one traced unit of each gated
 # perfbench workload must reproduce perfbench/reference.json (output digest,

@@ -5,9 +5,9 @@ Before the kernel existed, cycle bookkeeping was split three ways: the
 ``cpu/scheduler.py`` duplicated the ~100 µs tick period as its scheduling
 quantum, and ``seconds()``/span timestamps re-derived wall time from the
 raw counter.  :class:`KernelClock` folds all of that into one object per
-machine: components charge cycles here, the timer-interrupt deadline lives
-here, and ``Machine.seconds()``/``machine.span(...)`` read back through
-the same counter.
+machine: the load, switch and timer paths charge cycles here, the
+timer-interrupt deadline lives here, and ``Machine.seconds()``/
+``machine.span(...)`` read back through the same counter.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class KernelClock:
         """Schedule the next timer interrupt one period from *now*.
 
         A backlog of elapsed ticks collapses into a single rearm — the
-        modeled IRQ disturbance saturates (see ``OSComponent.maybe_tick``).
+        modeled IRQ disturbance saturates (see ``Machine.maybe_tick``).
         """
         self.next_tick = self.cycles + self.tick_period
 

@@ -6,25 +6,25 @@ of taps (tracer, sanitizer) that observe published events.  The pipeline
 itself is one function: ``Machine.load`` runs the OS tick when it is due,
 then the TLB, the cache hierarchy, the prefetchers and the timing model in
 that order, so dispatch has no wall clock, no host-order iteration and no
-randomness of its own.  All randomness stays in the components' seeded RNG
+randomness of its own.  All randomness stays in the machine's seeded RNG
 streams; this is what keeps same-seed runs byte-identical to the committed
 golden traces (``tests/golden/``).
 
-Component contract
-------------------
-Components receive the kernel at construction and reach it only through:
+The kernel is reached only through:
 
-* ``self.kernel.publish(kind, *fields)`` — notify the taps (tracer,
-  sanitizer) in registration order; the event is built only when a tap
-  is registered;
-* ``self.kernel.clock_of()`` — the machine's clock;
-* explicitly wired ``*_port`` callables (narrow, method-shaped buses).
+* ``kernel.publish(kind, *fields)`` — notify the taps (tracer, sanitizer)
+  in registration order; the event is built only when a tap is
+  registered;
+* ``kernel.clock_of()`` — the machine's clock.
 
-The model objects under the components — ``TLB``, ``CacheHierarchy`` and
-``IPStridePrefetcher`` — take the same kernel as an optional constructor
+The model objects the machine builds — ``TLB``, ``CacheHierarchy`` and
+``IPStridePrefetcher`` — take the kernel as an optional constructor
 argument and publish their trace events (``TlbMiss``, ``PrefetchFill``,
 ``TableTransition``) through it, stamped from ``clock_of()``; built
-standalone (``kernel=None``) they publish nothing.
+standalone (``kernel=None``) they publish nothing.  Neither the kernel
+nor its taps hold a strong reference back to the machine (the sanitizer
+tap holds its sanitizer weakly), so a dropped machine is freed by
+reference counting alone (``tests/test_cpu_machine.py::TestLifetime``).
 
 Two kinds of taps observe the stream.  The sanitizer's audit tap reads
 only ``LoadRetired`` and ``SwitchCompleted``; every other tap (the tracer,
@@ -32,10 +32,6 @@ a test's recorder) reads every event and is also listed in
 ``kernel.trace_taps``.  A site publishing any other kind checks
 ``kernel.trace_taps`` first, so a sanitized but untraced machine builds
 no event that nothing reads.
-
-Reaching into the ``Machine`` facade or into a sibling component's
-attributes from component code is a layering violation — flow lint rule
-RL019 enforces this mechanically.
 """
 
 from __future__ import annotations
@@ -88,14 +84,3 @@ class SimKernel:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimKernel(cycles={self._clock.cycles}, taps={len(self.taps)})"
 
-
-class Component:
-    """Base class for the kernel components behind the ``Machine`` facade.
-
-    A component owns one subsystem and is handed its kernel at
-    construction; ports (``*_port`` attributes) are wired afterwards by
-    the machine that assembles it.
-    """
-
-    def __init__(self, kernel: SimKernel) -> None:
-        self.kernel = kernel

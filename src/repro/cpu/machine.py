@@ -1,13 +1,15 @@
-"""The simulated machine: a facade over the simulation kernel's components.
+"""The simulated machine: one class owns the load, switch and tick paths.
 
-The `Machine` keeps its seed-era public API — construction, ``load``,
-``clflush``, ``context_switch``, spans, metrics — but the work happens in
-the components of :mod:`repro.cpu.kernel`.  A load is one function,
-:meth:`Machine.load`:
+The `Machine` builds the TLB, the cache hierarchy, the prefetchers and the
+timing model, and runs every path through them itself.  A load is one
+function, :meth:`Machine.load`:
 
 ``load(ctx, ip, vaddr)`` → OS timer tick (when due) → TLB translate →
 cache-hierarchy access → prefetcher observation (and prefetch fills) →
 the noisy measured latency, charged to the clock.
+
+``clflush`` and ``context_switch`` are single methods too; the switch path
+and the timer tick share the kernel-noise helpers below them.
 
 Every observation leaves the model through the kernel's published event
 stream: the load path, the TLB, the cache hierarchy, the IP-stride
@@ -25,8 +27,9 @@ than in the prefetcher itself:
   24-entry covert channel's >25 % error rate, §7.2) — but never flushes the
   IP-stride table, unless the §8.3 mitigation is enabled.
 
-Equivalence with the pre-kernel machine is pinned byte-for-byte by
-``tests/test_kernel_equivalence.py`` against committed golden traces.
+Operation order and RNG draw order are part of the behaviour:
+``tests/test_kernel_equivalence.py`` pins both byte-for-byte against
+committed golden traces.
 """
 
 from __future__ import annotations
@@ -35,18 +38,15 @@ from bisect import bisect_left
 
 from repro.cpu.code import CodeRegion
 from repro.cpu.context import ThreadContext
-from repro.cpu.kernel.components import (
-    CLEAR_PREFETCHER_CYCLES_PER_ENTRY,
-    CLFLUSH_CYCLES,
-    CONTEXT_SWITCH_CYCLES,
-    MemoryComponent,
-    OSComponent,
-    PrefetchComponent,
-    SanitizerTap,
-    TracerTap,
-)
 from repro.cpu.kernel.core import SimKernel
-from repro.cpu.kernel.events import LoadRetired
+from repro.cpu.kernel.events import (
+    LineFlushed,
+    LoadRetired,
+    PrefetchDispatched,
+    SwitchCompleted,
+    TimerFired,
+)
+from repro.cpu.kernel.taps import SanitizerTap, TracerTap
 from repro.cpu.timing import TimingModel
 from repro.memsys.addr import line_index
 from repro.memsys.hierarchy import CacheHierarchy, MemoryLevel
@@ -58,7 +58,7 @@ from repro.mmu.tlb import TLB, TranslationResult
 from repro.obs.metrics import Histogram, MetricsRegistry, latency_bounds, snapshot
 from repro.obs.profiler import Span, SpanProfile
 from repro.obs.tracer import Tracer, resolve_tracer
-from repro.params import PAGE_SIZE, DEFAULT_MACHINE, MachineParams
+from repro.params import CACHE_LINE_SIZE, PAGE_SIZE, DEFAULT_MACHINE, MachineParams
 from repro.prefetch.adjacent import AdjacentPrefetcher
 from repro.prefetch.base import LoadEvent, Prefetcher, PrefetchRequest
 from repro.prefetch.dcu import DCUPrefetcher
@@ -78,6 +78,24 @@ __all__ = [
 
 #: Pages of kernel memory the switch and timer-IRQ paths touch (4 MiB).
 SWITCH_NOISE_PAGES = 1024
+
+#: Cycle cost of a clflush instruction (order of an LLC round trip).
+CLFLUSH_CYCLES = 40
+
+#: Fixed architectural cost of a context switch, before memory noise.
+CONTEXT_SWITCH_CYCLES = 1500
+
+#: Cost of the proposed clear-ip-prefetcher instruction: one cycle per
+#: history entry (paper §8.3 assumes C_clear = 24).
+CLEAR_PREFETCHER_CYCLES_PER_ENTRY = 1
+
+#: Bound of the variable kernel IPs the switch and IRQ paths load from.
+_KERNEL_IP_SPACE = 1 << 30
+
+
+def _null_translate(_vaddr: int) -> int | None:
+    """Kernel noise loads never offer the prefetcher a usable translation."""
+    return None
 
 
 class Machine:
@@ -106,7 +124,11 @@ class Machine:
         self._kernel_clock = self.kernel.clock_of()
         self.hierarchy = CacheHierarchy(params, kernel=self.kernel)
         self.tlb = TLB(params.tlb_entries, params.page_walk_latency, kernel=self.kernel)
-        ip_stride = IPStridePrefetcher(
+        #: The IP-stride prefetcher.  The §8.2 defenses swap in another
+        #: table after construction (``harden_machine``,
+        #: ``disable_ip_stride_prefetcher``), so every path reads this
+        #: attribute when it runs and no other object keeps the table.
+        self.ip_stride: IPStridePrefetcher = IPStridePrefetcher(
             params.prefetcher,
             enable_next_page=params.enable_next_page_prefetcher,
             kernel=self.kernel,
@@ -126,6 +148,8 @@ class Machine:
             #: Lane-aware sinks (ChromeTraceSink) label a per-machine lane,
             #: so a shared tracer keeps machines apart.
             self.tracer.register_machine(self)
+            # The tracer taps first, the sanitizer second: emit, then audit.
+            self.kernel.add_tap(TracerTap(self.tracer, self._kernel_clock))
         #: Cycle-attribution profiler aggregate (``with machine.span(...)``);
         #: always collected — spans are rare compared to loads.
         self.profile = SpanProfile()
@@ -156,12 +180,19 @@ class Machine:
             int(self._os_rng.integers(0, 1 << 30))
             for _ in range(params.noise.switch_fixed_ips)
         ]
-        self._wire_components(ip_stride)
+
+        #: The context the logical core is running.
+        self.current: ThreadContext | None = None
+        self.context_switches = 0
+        self.timer_interrupts = 0
+        #: §8.3 mitigation: execute clear-ip-prefetcher on every domain switch.
+        self.flush_prefetcher_on_switch = False
+        #: Quiet machines (reverse-engineering benches) take no IRQs.
+        self.quiet = params.noise.switch_fixed_ips == 0
 
         #: Runtime invariant auditing (repro.sanitize); ``None`` when off, so
-        #: the published-event tap is simply never registered.  Built after
-        #: the components are wired — the checkers read the components'
-        #: state through the facade properties — and tapped after the
+        #: the published-event tap is simply never registered.  Built last —
+        #: its checkers read the TLB and the hierarchy — and tapped after the
         #: tracer, preserving emit-then-audit order.
         self.sanitizer: Sanitizer | None = (
             Sanitizer(self) if sanitize_enabled(sanitize) else None
@@ -171,54 +202,7 @@ class Machine:
             self.kernel.add_tap(SanitizerTap(self.sanitizer), reads_trace=False)
 
     # ------------------------------------------------------------------ #
-    # Kernel assembly                                                     #
-    # ------------------------------------------------------------------ #
-
-    def _wire_components(self, ip_stride: IPStridePrefetcher) -> None:
-        """Build the components, wire their ports, and tap the tracer."""
-        kernel = self.kernel
-        self._memsys = MemoryComponent(kernel, self.hierarchy)
-        self._prefetch = PrefetchComponent(kernel, ip_stride, self.noise_prefetchers)
-        self._os = OSComponent(
-            kernel,
-            noise=self.params.noise,
-            os_rng=self._os_rng,
-            kernel_space=self.kernel_space,
-            switch_noise=self._switch_noise,
-            switch_path_ips=self._switch_path_ips,
-            clear_cost_cycles=(
-                CLEAR_PREFETCHER_CYCLES_PER_ENTRY * self.params.prefetcher.n_entries
-            ),
-        )
-        # Ports: the narrow buses components are allowed to talk over
-        # (flow lint rule RL019 flags anything wider).  Every port points
-        # down the pipeline, so a dropped machine holds no reference cycle.
-        self._prefetch.insert_port = self._memsys.insert_prefetch
-        self._os.access_port = self.hierarchy.access
-        self._os.feed_port = self._prefetch.feed_kernel
-        self._os.clear_port = self._prefetch.clear
-        self._os.flush_tlb_port = self.tlb.flush
-        # Taps: the tracer taps here; the sanitizer (built after wiring)
-        # taps second in ``__init__``, preserving emit-then-audit order.
-        if self.tracer is not None:
-            kernel.add_tap(TracerTap(self.tracer, self._kernel_clock))
-
-    @property
-    def ip_stride(self) -> IPStridePrefetcher:
-        """The IP-stride prefetcher, owned by the kernel's prefetch component.
-
-        Settable: the §8.2 defenses swap in a hardened variant
-        (``harden_machine``, ``disable_prefetcher``) after construction,
-        and the swap must reach the component actually observing loads.
-        """
-        return self._prefetch.ip_stride
-
-    @ip_stride.setter
-    def ip_stride(self, prefetcher: IPStridePrefetcher) -> None:
-        self._prefetch.ip_stride = prefetcher
-
-    # ------------------------------------------------------------------ #
-    # Clock and OS state (delegated to the kernel and the OS component)                    #
+    # Clock                                                               #
     # ------------------------------------------------------------------ #
 
     @property
@@ -229,40 +213,6 @@ class Machine:
     @cycles.setter
     def cycles(self, value: int) -> None:
         self._kernel_clock.cycles = value
-
-    @property
-    def current(self) -> ThreadContext | None:
-        """The context the logical core is running."""
-        return self._os.current
-
-    @current.setter
-    def current(self, ctx: ThreadContext | None) -> None:
-        self._os.current = ctx
-
-    @property
-    def context_switches(self) -> int:
-        return self._os.context_switches
-
-    @context_switches.setter
-    def context_switches(self, value: int) -> None:
-        self._os.context_switches = value
-
-    @property
-    def timer_interrupts(self) -> int:
-        return self._os.timer_interrupts
-
-    @timer_interrupts.setter
-    def timer_interrupts(self, value: int) -> None:
-        self._os.timer_interrupts = value
-
-    @property
-    def flush_prefetcher_on_switch(self) -> bool:
-        """§8.3 mitigation: execute clear-ip-prefetcher on every switch."""
-        return self._os.flush_prefetcher_on_switch
-
-    @flush_prefetcher_on_switch.setter
-    def flush_prefetcher_on_switch(self, value: bool) -> None:
-        self._os.flush_prefetcher_on_switch = value
 
     @property
     def timer_period_cycles(self) -> int:
@@ -336,9 +286,9 @@ class Machine:
         Prime+Probe implementations traverse eviction sets as linked lists
         for the same reason.
         """
-        clock, os_ = self._kernel_clock, self._os
-        if os_.quiet or clock.cycles >= clock.next_tick:
-            os_.maybe_tick()
+        clock = self._kernel_clock
+        if self.quiet or clock.cycles >= clock.next_tick:
+            self.maybe_tick()
         space = ctx.space
         paddr, walk_latency = self.tlb.translate(space, vaddr)
         result = self.hierarchy.access(paddr)
@@ -346,24 +296,23 @@ class Machine:
         if fenced:
             event = None
         else:
-            prefetch = self._prefetch
             event = LoadEvent(ip, vaddr, paddr, result.level, space.asid)
             if walk_latency:
                 # §4.3: a TLB-missing first touch creates the translation
                 # but leaves the prefetcher state untouched — only the
                 # next-page prefetcher may carry a pattern across.
-                requests = prefetch.ip_stride.observe_tlb_miss(event)
+                requests = self.ip_stride.observe_tlb_miss(event)
                 if requests:
-                    issued = prefetch.dispatch(requests, ip)
+                    issued = self._dispatch(requests, ip)
             else:
                 translate = space.translate_or_none
-                requests = prefetch.ip_stride.observe(event, translate)
+                requests = self.ip_stride.observe(event, translate)
                 if requests:
-                    issued = prefetch.dispatch(requests, ip)
-                for prefetcher in prefetch.noise_prefetchers:
+                    issued = self._dispatch(requests, ip)
+                for prefetcher in self.noise_prefetchers:
                     requests = prefetcher.observe(event, translate)
                     if requests:
-                        issued += prefetch.dispatch(requests, ip)
+                        issued += self._dispatch(requests, ip)
         latency = self._timing.measured(walk_latency + result.latency)
         clock.cycles += latency
         ctx.cpu_cycles += latency
@@ -378,9 +327,28 @@ class Machine:
             )
         return latency
 
+    def _dispatch(
+        self, requests: list[PrefetchRequest], trigger_ip: int
+    ) -> tuple[PrefetchRequest, ...]:
+        """Install ``requests`` (L2 + LLC); returns them as the issued tuple."""
+        # Announce before installing: the trace shows the request leaving
+        # the prefetcher, then the fill landing in the hierarchy.
+        kernel, hierarchy = self.kernel, self.hierarchy
+        for request in requests:
+            if kernel.trace_taps:
+                kernel.publish(PrefetchDispatched, request, trigger_ip)
+            hierarchy.insert_prefetch(request.paddr)
+        return tuple(requests)
+
     def clflush(self, ctx: ThreadContext, vaddr: int) -> None:
-        """Flush the line holding ``vaddr`` from the whole hierarchy."""
-        self._memsys.flush(ctx, vaddr)
+        """Flush the line holding ``vaddr`` from the whole hierarchy and
+        charge its cost."""
+        paddr = ctx.space.translate(vaddr)
+        self.hierarchy.clflush(paddr)
+        self._kernel_clock.charge(ctx, CLFLUSH_CYCLES)
+        kernel = self.kernel
+        if kernel.trace_taps:
+            kernel.publish(LineFlushed, ctx, vaddr, paddr)
 
     def flush_buffer(self, ctx: ThreadContext, buffer: Buffer) -> None:
         """clflush every line of ``buffer`` (the Flush stage of F+R)."""
@@ -400,23 +368,129 @@ class Machine:
         """Account for non-memory compute time."""
         if cycles < 0:
             raise ValueError(f"cannot advance by negative cycles: {cycles}")
-        current = self._os.current
+        current = self.current
         if current is not None:
             self._kernel_clock.charge(current, cycles)
         else:
             self._kernel_clock.advance(cycles)
 
     # ------------------------------------------------------------------ #
-    # Context switching                                                   #
+    # Context switching and the timer tick                                #
     # ------------------------------------------------------------------ #
+    #
+    # Every noise batch draws its line indexes and IPs with one
+    # ``_os_rng.integers(..., size=k)`` call.  NumPy's bounded ``int64``
+    # draws are unbuffered, so a batch of ``k`` equals ``k`` scalar draws
+    # and leaves the generator in the same state
+    # (``tests/test_cpu_machine.py`` pins this).
 
     def context_switch(self, to_ctx: ThreadContext) -> None:
-        """Switch the logical core to ``to_ctx`` (see ``OSComponent``)."""
-        self._os.switch(to_ctx)
+        """Switch the logical core to ``to_ctx``.
+
+        Same-address-space switches (threads of one process) keep the TLB;
+        cross-space switches flush non-global entries.  Both kinds run the
+        kernel's switch path, whose loads pollute the caches and the
+        prefetcher table.
+        """
+        from_ctx = self.current
+        if from_ctx is to_ctx:
+            return
+        self.context_switches += 1
+        self._kernel_clock.advance(CONTEXT_SWITCH_CYCLES)
+        cross_space = from_ctx is not None and not from_ctx.same_address_space(to_ctx)
+        if cross_space:
+            self.tlb.flush(keep_global=True)
+        # Cross-process switches run the heavier mm-switch path with
+        # data-dependent kernel activity; same-space (thread) switches only
+        # replay the fixed switch code.
+        variable_ips = self.params.noise.switch_variable_ips if cross_space else 0
+        self._inject_switch_noise(variable_ips)
+        if self.flush_prefetcher_on_switch:
+            self.run_prefetcher_clear()
+        self.current = to_ctx
+        self.kernel.publish(
+            SwitchCompleted,
+            None if from_ctx is None else from_ctx.name,
+            to_ctx.name,
+            cross_space,
+        )
+
+    def maybe_tick(self) -> None:
+        """Run the kernel timer-IRQ path when the tick has elapsed.
+
+        The IRQ handler touches a few kernel lines and executes one load at
+        an effectively random kernel IP; with probability 1/256 that IP
+        aliases (and clobbers) a trained prefetcher entry.  A backlog of
+        elapsed ticks (e.g. after a long ``advance``) fires only once: the
+        table's disturbance saturates, and the entries the backlogged ticks
+        would have clobbered are retrained before the next observation
+        anyway.
+        """
+        clock = self._kernel_clock
+        if self.quiet:
+            clock.rearm_tick()
+            return
+        if clock.cycles < clock.next_tick:
+            return
+        self.timer_interrupts += 1
+        clock.rearm_tick()
+        self._touch_noise_lines(8)
+        # Which IRQ handler ran is data-dependent: one variable-IP load.
+        self._kernel_prefetcher_noise(self._os_rng.integers(0, _KERNEL_IP_SPACE, size=1).tolist())
+        kernel = self.kernel
+        if kernel.trace_taps:
+            kernel.publish(TimerFired, clock.cycles)
 
     def run_prefetcher_clear(self) -> None:
         """Execute the proposed privileged clear-ip-prefetcher instruction."""
-        self._os.run_prefetcher_clear()
+        entries = self.params.prefetcher.n_entries
+        self._kernel_clock.advance(CLEAR_PREFETCHER_CYCLES_PER_ENTRY * entries)
+        self.ip_stride.clear()
+
+    def _inject_switch_noise(self, variable_ips: int) -> None:
+        """Model the switch path's own memory traffic.
+
+        Cache pollution: random lines of kernel memory are touched.
+        Prefetcher pollution: the fixed switch-path IPs replay (occupying
+        their slots, learning nothing — their data addresses vary), plus
+        ``variable_ips`` loads at effectively random IPs, each with a 1/256
+        chance of aliasing a trained entry.
+        """
+        self._touch_noise_lines(self.params.noise.switch_cache_lines)
+        # Switch-path code loops over task/mm state, so each fixed IP issues
+        # several loads per switch: a re-allocated fixed entry immediately
+        # reaches confidence 1 and is no longer a preferred eviction victim.
+        # (This is what makes a full-table covert channel lose ~6 of its 24
+        # trained entries per switch — the paper's >25 % error rate, §7.2.)
+        ips = [ip for ip in self._switch_path_ips for _ in range(2)]
+        ips += self._os_rng.integers(0, _KERNEL_IP_SPACE, size=variable_ips).tolist()
+        self._kernel_prefetcher_noise(ips)
+
+    def _noise_lines(self, count: int) -> list[int]:
+        """Virtual addresses of ``count`` random switch-noise lines."""
+        base = self._switch_noise.base
+        lines = self._os_rng.integers(0, self._switch_noise.n_lines, size=count).tolist()
+        return [base + line * CACHE_LINE_SIZE for line in lines]
+
+    def _touch_noise_lines(self, count: int) -> None:
+        """Demand-access ``count`` random kernel lines (cache pollution)."""
+        translate, access = self.kernel_space.translate, self.hierarchy.access
+        for vaddr in self._noise_lines(count):
+            access(translate(vaddr))
+
+    def _kernel_prefetcher_noise(self, ips: list[int]) -> None:
+        """Kernel loads (random data lines) at the given IPs.
+
+        They feed only the IP-stride table, and never with a usable
+        translation.
+        """
+        space, ip_stride = self.kernel_space, self.ip_stride
+        asid = space.asid
+        for ip, vaddr in zip(ips, self._noise_lines(len(ips))):
+            event = LoadEvent(ip, vaddr, space.translate(vaddr), MemoryLevel.LLC, asid)
+            requests = ip_stride.observe(event, _null_translate)
+            if requests:
+                self._dispatch(requests, ip)
 
     # ------------------------------------------------------------------ #
     # Observability                                                       #

@@ -21,6 +21,7 @@ import weakref
 from typing import TYPE_CHECKING
 
 from repro.obs.events import SanitizerViolation
+from repro.prefetch.ip_stride import IPStridePrefetcher
 from repro.sanitize.checkers import HierarchyChecker, PrefetcherChecker, TLBChecker
 from repro.sanitize.violations import InvariantViolation
 
@@ -83,7 +84,7 @@ class Sanitizer:
         self.checks_run += 1
         cycle = self.machine.cycles
         try:
-            self.prefetcher.check(cycle)
+            self._check_prefetcher(cycle)
             self.tlb.check_fast(cycle)
             self.hierarchy.check_line(translation.paddr, cycle)
             if event is not None:
@@ -109,7 +110,7 @@ class Sanitizer:
         self._switches_checked += 1
         cycle = self.machine.cycles
         try:
-            self.prefetcher.check(cycle)
+            self._check_prefetcher(cycle)
             self.tlb.check(self._spaces, cycle)
             if self._switches_checked % 64 == 0:
                 self.hierarchy.check_inclusive(cycle)
@@ -122,12 +123,24 @@ class Sanitizer:
         self.checks_run += 1
         cycle = self.machine.cycles
         try:
-            self.prefetcher.check(cycle)
+            self._check_prefetcher(cycle)
             self.tlb.check(self._spaces, cycle)
             self.hierarchy.check_inclusive(cycle)
         except InvariantViolation as violation:
             self._trace_violation(violation)
             raise
+
+    def _check_prefetcher(self, cycle: int) -> None:
+        """Audit the IP-stride table the machine runs *now*.
+
+        The §8.2 defenses swap ``machine.ip_stride`` after the sanitizer is
+        built, so the table is read at check time.  The tagged and disabled
+        tables have no checker and go unaudited.
+        """
+        table = self.machine.ip_stride
+        if isinstance(table, IPStridePrefetcher):
+            self.prefetcher.prefetcher = table
+            self.prefetcher.check(cycle)
 
     def _trace_violation(self, violation: InvariantViolation) -> None:
         """Publish a violation through the machine's kernel before it propagates."""

@@ -8,6 +8,7 @@ import pytest
 
 from repro.attacks import attack_names, run_trials
 from repro.cpu.machine import SWITCH_NOISE_PAGES, Machine
+from repro.defenses.tagged_prefetcher import harden_machine
 from repro.memsys.hierarchy import MemoryLevel
 from repro.params import COFFEE_LAKE_I7_9700, LINES_PER_PAGE, PAGE_SIZE
 from repro.utils.rng import derive_rng, make_rng
@@ -163,6 +164,44 @@ class TestMitigation:
         assert m.cycles - before == m.params.prefetcher.n_entries
 
 
+class TestPrefetcherSwap:
+    """A table swapped into ``machine.ip_stride`` reaches every path that
+    reads it: the load path, the switch and timer noise, and the clear."""
+
+    def test_switch_and_tick_noise_feed_the_swapped_table(self):
+        m = Machine(COFFEE_LAKE_I7_9700, seed=5)
+        original = m.ip_stride
+        tagged = harden_machine(m)
+        kernel_asid = m.kernel_space.asid
+
+        m.advance(m.timer_period_cycles)
+        m.maybe_tick()
+        assert m.timer_interrupts == 1
+        assert [e.asid for e in tagged._slots if e is not None] == [kernel_asid]
+
+        a, b = m.new_thread("a"), m.new_thread("b")
+        m.context_switch(a)
+        after_tick = tagged.occupancy
+        m.context_switch(b)  # cross-space: the variable-IP mm-switch path
+        assert tagged.occupancy > after_tick
+        assert {e.asid for e in tagged._slots if e is not None} == {kernel_asid}
+        assert original.occupancy == 0
+
+    def test_flush_on_switch_clears_the_swapped_table(self, quiet_machine):
+        m = quiet_machine
+        a = m.new_thread("a")
+        buf = m.new_buffer(a.space, PAGE_SIZE)
+        m.warm_buffer_tlb(a, buf)
+        original = m.ip_stride
+        m.load(a, 0x400020, buf.line_addr(0))
+        tagged = harden_machine(m)
+        m.load(a, 0x400020, buf.line_addr(1))
+        assert (original.occupancy, tagged.occupancy) == (1, 1)
+        m.flush_prefetcher_on_switch = True
+        m.context_switch(a)
+        assert (original.occupancy, tagged.occupancy) == (1, 0)
+
+
 class TestNoiseInjection:
     def test_noisy_switch_pollutes_prefetcher(self):
         m = Machine(COFFEE_LAKE_I7_9700, seed=5)
@@ -226,7 +265,7 @@ class TestBatchedNoiseDraws:
             message = (
                 f"numpy {np.__version__}: integers(0, {bound}, size={k}) no longer "
                 f"matches {k} scalar draws (seed {seed}); the batched OS-noise draws "
-                f"in repro.cpu.kernel.components would change every golden trace"
+                f"in repro.cpu.machine would change every golden trace"
             )
             assert drawn == expected, message
             assert int(batched.integers(0, bound)) == int(scalar.integers(0, bound)), message

@@ -1,4 +1,4 @@
-"""Tests for the flow rules RL014–RL019 and the flow-aware upgrades.
+"""Tests for the flow rules RL014–RL018 and the flow-aware upgrades.
 
 Each fixture is a small program with a *known* dataflow fact — a taint
 that must reach a sink, a worker that must reach a global — plus the
@@ -536,108 +536,6 @@ class TestSpanSinkPairing:
             "    sink = JsonlSink(path)\n"
         )
         assert "RL018" not in rule_ids(lint(source, flow=False))
-
-
-# --------------------------------------------------------------------- #
-# RL019 — kernel components talk only through the port/bus API           #
-# --------------------------------------------------------------------- #
-
-KERNEL_PATH = "src/repro/cpu/kernel/components.py"
-
-
-class TestKernelComponentIsolation:
-    def test_machine_backreference_is_flagged(self):
-        source = (
-            "from repro.cpu.kernel.core import Component\n"
-            "class Bad(Component):\n"
-            "    name = 'bad'\n"
-            "    def on_load(self, event):\n"
-            "        self.machine.advance(1)\n"
-        )
-        assert "RL019" in rule_ids(lint(source, path=KERNEL_PATH))
-
-    def test_component_of_sibling_grab_is_flagged(self):
-        source = (
-            "from repro.cpu.kernel.core import Component\n"
-            "class Bad(Component):\n"
-            "    name = 'bad'\n"
-            "    def on_load(self, event):\n"
-            "        memsys = self.kernel.component_of('memsys')\n"
-            "        memsys.hierarchy.access(event.ctx, event.vaddr)\n"
-        )
-        assert "RL019" in rule_ids(lint(source, path=KERNEL_PATH))
-
-    def test_kernel_private_state_poke_is_flagged(self):
-        source = (
-            "from repro.cpu.kernel.core import Component\n"
-            "class Bad(Component):\n"
-            "    name = 'bad'\n"
-            "    def on_load(self, event):\n"
-            "        self.kernel._taps.append(event)\n"
-        )
-        assert "RL019" in rule_ids(lint(source, path=KERNEL_PATH))
-
-    def test_retired_event_post_is_flagged(self):
-        # The pipeline is a call chain: there is no event bus to post on.
-        source = (
-            "from repro.cpu.kernel.core import Component\n"
-            "class Bad(Component):\n"
-            "    name = 'bad'\n"
-            "    def on_load(self, event):\n"
-            "        self.kernel.post(event)\n"
-        )
-        assert "RL019" in rule_ids(lint(source, path=KERNEL_PATH))
-
-    def test_bus_api_and_ports_are_clean(self):
-        source = (
-            "from repro.cpu.kernel.core import Component\n"
-            "class Good(Component):\n"
-            "    name = 'good'\n"
-            "    def retire(self, ctx, latency):\n"
-            "        self.insert_port(latency)\n"
-            "        clock = self.kernel.clock_of()\n"
-            "        clock.charge(ctx, latency)\n"
-            "        self.kernel.publish(LoadRetired, ctx, latency)\n"
-        )
-        assert "RL019" not in rule_ids(lint(source, path=KERNEL_PATH))
-
-    def test_non_component_classes_are_exempt(self):
-        # Taps and helpers in the kernel package are not Components.
-        source = (
-            "class CycleTap:\n"
-            "    def __init__(self, machine):\n"
-            "        self.machine = machine\n"
-            "    def __call__(self, event):\n"
-            "        return self.machine.cycles\n"
-        )
-        assert "RL019" not in rule_ids(lint(source, path=KERNEL_PATH))
-
-    def test_rule_only_applies_under_the_kernel_package(self):
-        source = (
-            "from repro.cpu.kernel.core import Component\n"
-            "class Elsewhere(Component):\n"
-            "    def on_load(self, event):\n"
-            "        self.machine.advance(1)\n"
-        )
-        assert "RL019" not in rule_ids(lint(source, path=ATTACKS_PATH))
-
-    def test_flow_off_disables_the_rule(self):
-        source = (
-            "from repro.cpu.kernel.core import Component\n"
-            "class Bad(Component):\n"
-            "    def on_load(self, event):\n"
-            "        self.machine.advance(1)\n"
-        )
-        assert "RL019" not in rule_ids(lint(source, path=KERNEL_PATH, flow=False))
-
-    def test_noqa_suppresses(self):
-        source = (
-            "from repro.cpu.kernel.core import Component\n"
-            "class Bad(Component):\n"
-            "    def on_load(self, event):\n"
-            "        self.machine.advance(1)  # repro: noqa[RL019]\n"
-        )
-        assert "RL019" not in rule_ids(lint(source, path=KERNEL_PATH))
 
 
 # --------------------------------------------------------------------- #

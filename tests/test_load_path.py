@@ -11,7 +11,6 @@ from collections import Counter
 
 import pytest
 
-from repro.cpu.kernel.components import OSComponent
 from repro.cpu.machine import Machine
 from repro.cpu.timing import TimingModel
 from repro.memsys.hierarchy import CacheHierarchy
@@ -34,7 +33,7 @@ def _count_calls(monkeypatch, machine: Machine) -> Counter:
 
         monkeypatch.setattr(owner, attr, counted)
 
-    wrap(OSComponent, "maybe_tick", "maybe_tick")
+    wrap(Machine, "maybe_tick", "maybe_tick")
     wrap(TLB, "translate", "translate")
     wrap(CacheHierarchy, "access", "access")
     wrap(TimingModel, "measured", "measured")

@@ -20,7 +20,6 @@ from time import perf_counter  # repro: noqa[RL003] — measuring the host is th
 
 import pytest
 
-import repro.cpu.kernel.components as components_mod
 import repro.cpu.machine as machine_mod
 import repro.memsys.hierarchy as hierarchy_mod
 import repro.mmu.tlb as tlb_mod
@@ -75,17 +74,17 @@ _HOOK_EVENT_SITES = [
     # The kernel's published events: built only when the machine has a tap.
     (machine_mod, "LoadRetired"),
     (machine_mod, "TranslationResult"),
-    (components_mod, "PrefetchDispatched"),
-    (components_mod, "LineFlushed"),
-    (components_mod, "SwitchCompleted"),
-    (components_mod, "TimerFired"),
+    (machine_mod, "PrefetchDispatched"),
+    (machine_mod, "LineFlushed"),
+    (machine_mod, "SwitchCompleted"),
+    (machine_mod, "TimerFired"),
 ]
 
 #: The sites the sanitizer's audit tap reads: a sanitized machine builds them.
 _AUDITED_SITES = {
     (machine_mod, "LoadRetired"),
     (machine_mod, "TranslationResult"),
-    (components_mod, "SwitchCompleted"),
+    (machine_mod, "SwitchCompleted"),
 }
 
 

@@ -13,6 +13,7 @@ from repro.cpu.machine import Machine
 from repro.memsys.hierarchy import MemoryLevel
 from repro.params import COFFEE_LAKE_I7_9700, PAGE_SIZE
 from repro.prefetch.base import LoadEvent, PrefetchRequest
+from repro.prefetch.ip_stride import IPStridePrefetcher
 from repro.sanitize import InvariantViolation, Sanitizer, sanitize_enabled
 
 
@@ -112,6 +113,18 @@ class TestPrefetcherInvariants:
         policy = machine.ip_stride._policy
         policy._mru = [True] * len(policy._mru)  # repro: noqa[RL005]
         expect_violation(machine, "bit-plru")
+
+    def test_swapped_in_table_is_audited(self):
+        # The §8.2 defenses replace machine.ip_stride after the sanitizer
+        # is built: the checks must audit the table the machine runs now.
+        machine, ctx, buf = trained_machine()
+        table = IPStridePrefetcher(machine.params.prefetcher)
+        machine.ip_stride = table
+        table._index_to_slot[0x42] = 0  # repro: noqa[RL005] - deliberate corruption
+        with pytest.raises(InvariantViolation) as excinfo:
+            machine.load(ctx, 0x40_1000, buf.page_line_addr(0, 5))
+        assert excinfo.value.invariant == "index-map"
+        expect_violation(machine, "index-map")
 
     def test_violation_carries_cycle(self):
         machine, _, _ = trained_machine()
