@@ -81,11 +81,17 @@ fleet-smoke:
 
 # The kernel refactor gate: the differential suite (golden traces and
 # aggregates), the machine's lifetime (no reference cycle keeps a dropped
-# machine alive) and its swappable IP-stride table, and the per-load layer
-# call counts behind the perfbench `.calls` pins.  Mirrors the CI
-# `kernel-equivalence` job.
+# machine alive) and its swappable IP-stride table, the observation
+# contract (an untraced machine builds no trace event, sanitized or not;
+# the load and switch paths emit their trace event before the sanitizer
+# audits), and the per-load layer call counts behind the perfbench
+# `.calls` pins.  Mirrors the CI `kernel-equivalence` job.
 KERNEL_EQUIVALENCE_TESTS := tests/test_kernel_equivalence.py \
-	tests/test_cpu_machine.py::TestLifetime tests/test_cpu_machine.py::TestPrefetcherSwap
+	tests/test_cpu_machine.py::TestLifetime tests/test_cpu_machine.py::TestPrefetcherSwap \
+	tests/test_obs_overhead.py::TestDisabledPath::test_no_event_constructed_when_disabled \
+	tests/test_obs_overhead.py::TestDisabledPath::test_no_trace_event_constructed_when_only_sanitized \
+	tests/test_obs.py::TestOneObservationPath::test_load_is_traced_then_audited \
+	tests/test_obs.py::TestOneObservationPath::test_switch_is_traced_then_audited
 kernel-equivalence:
 	$(PYTHON) -m pytest -x -q $(KERNEL_EQUIVALENCE_TESTS) tests/test_load_path.py
 
@@ -115,9 +121,9 @@ bench-figures:
 # The CI gate: static analysis, the leakage-verdict matrix, the
 # extraction scan (with its seeded-fixture positive control), a
 # sanitizer-instrumented smoke slice of the test suite, the golden
-# traces with the sanitizer tap sharing the event stream (spans and
-# violations publish there too, so this guards tracer-then-sanitizer
-# tap order), and the observability overhead/determinism tests.
+# traces on sanitized machines (the sanitizer audits each load and switch
+# after it is traced, and its violations are traced too; the goldens
+# must not move), and the observability overhead/determinism tests.
 check: lint leakcheck leakcheck-scan
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q tests/test_examples.py tests/test_leakcheck.py \
 		tests/test_memsys_hierarchy.py tests/test_core_variant1.py

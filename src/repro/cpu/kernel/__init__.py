@@ -2,10 +2,10 @@
 
 ``Machine.load`` is the one function a load runs through, and the machine
 owns the clflush, switch and timer paths too.  The
-:class:`~repro.cpu.kernel.core.SimKernel` holds the machine's clock and the
-taps (:mod:`repro.cpu.kernel.taps`: tracer, sanitizer) that observe the
-published events (:mod:`repro.cpu.kernel.events`).  See the "Simulation
-kernel" section of ``DESIGN.md``.
+:class:`~repro.cpu.kernel.core.SimKernel` holds the machine's clock and
+its tracer, through which the machine and its model objects publish
+their trace events (:mod:`repro.obs.events`).  See the
+"Simulation kernel" section of ``DESIGN.md``.
 """
 
 from repro.cpu.kernel.clock import DEFAULT_TICK_CYCLES, KernelClock

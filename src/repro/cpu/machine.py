@@ -11,11 +11,13 @@ the noisy measured latency, charged to the clock.
 ``clflush`` and ``context_switch`` are single methods too; the switch path
 and the timer tick share the kernel-noise helpers below them.
 
-Every observation leaves the model through the kernel's published event
-stream: the load path, the TLB, the cache hierarchy, the IP-stride
-prefetcher, spans and sanitizer violations all publish there, and the
-tracer and the sanitizer observe it as taps.  A machine with neither builds
-no published event at all.
+Every trace event leaves the model through ``kernel.publish``, which emits
+it to the machine's tracer: the load, prefetch-dispatch, clflush and switch
+paths here publish ``LoadTraced``, ``PrefetchIssued``, ``Clflush`` and
+``ContextSwitch``, and the TLB, the cache hierarchy, the IP-stride
+prefetcher, spans and sanitizer violations publish theirs.  The load and
+switch paths then call the sanitizer, so every load and switch is traced
+before it is audited.  An untraced machine builds no trace event at all.
 
 Two modelling rules from the paper are enforced on the load path rather
 than in the prefetcher itself:
@@ -39,14 +41,6 @@ from bisect import bisect_left
 from repro.cpu.code import CodeRegion
 from repro.cpu.context import ThreadContext
 from repro.cpu.kernel.core import SimKernel
-from repro.cpu.kernel.events import (
-    LineFlushed,
-    LoadRetired,
-    PrefetchDispatched,
-    SwitchCompleted,
-    TimerFired,
-)
-from repro.cpu.kernel.taps import SanitizerTap, TracerTap
 from repro.cpu.timing import TimingModel
 from repro.memsys.addr import line_index
 from repro.memsys.hierarchy import CacheHierarchy, MemoryLevel
@@ -54,7 +48,8 @@ from repro.mmu.address_space import AddressSpace
 from repro.mmu.aslr import Aslr
 from repro.mmu.buffer import Buffer
 from repro.mmu.page_table import PhysicalMemory
-from repro.mmu.tlb import TLB, TranslationResult
+from repro.mmu.tlb import TLB
+from repro.obs.events import Clflush, ContextSwitch, LoadTraced, PrefetchIssued
 from repro.obs.metrics import Histogram, MetricsRegistry, latency_bounds, snapshot
 from repro.obs.profiler import Span, SpanProfile
 from repro.obs.tracer import Tracer, resolve_tracer
@@ -116,12 +111,18 @@ class Machine:
         self.aslr = Aslr(derive_rng(self.rng, "aslr"), enabled=params.aslr_enabled)
         self.kaslr = Aslr(derive_rng(self.rng, "kaslr"), enabled=params.aslr_enabled)
 
+        #: Structured tracing (repro.obs); ``None`` when off.
+        self.tracer: Tracer | None = resolve_tracer(trace)
+        if self.tracer is not None:
+            #: Lane-aware sinks (ChromeTraceSink) label a per-machine lane,
+            #: so a shared tracer keeps machines apart.
+            self.tracer.register_machine(self)
         #: The simulation kernel: its clock is the single source of
         #: simulated time (``cycles``, ``seconds()``, the timer-interrupt
-        #: deadline and span timestamps all read through it), and its taps
-        #: observe the published event stream.
-        self.kernel = SimKernel()
-        self._kernel_clock = self.kernel.clock_of()
+        #: deadline and span timestamps all read through it), and the model
+        #: objects publish their trace events to ``tracer`` through it.
+        self.kernel = SimKernel(self.tracer)
+        self._kernel_clock = self.kernel.clock
         self.hierarchy = CacheHierarchy(params, kernel=self.kernel)
         self.tlb = TLB(params.tlb_entries, params.page_walk_latency, kernel=self.kernel)
         #: The IP-stride prefetcher.  The §8.2 defenses swap in another
@@ -141,15 +142,6 @@ class Machine:
         if params.enable_streamer_prefetcher:
             self.noise_prefetchers.append(StreamerPrefetcher())
 
-        #: Structured tracing (repro.obs); ``None`` when off, and then no
-        #: tracer tap is registered.
-        self.tracer: Tracer | None = resolve_tracer(trace)
-        if self.tracer is not None:
-            #: Lane-aware sinks (ChromeTraceSink) label a per-machine lane,
-            #: so a shared tracer keeps machines apart.
-            self.tracer.register_machine(self)
-            # The tracer taps first, the sanitizer second: emit, then audit.
-            self.kernel.add_tap(TracerTap(self.tracer, self._kernel_clock))
         #: Cycle-attribution profiler aggregate (``with machine.span(...)``);
         #: always collected — spans are rare compared to loads.
         self.profile = SpanProfile()
@@ -190,16 +182,14 @@ class Machine:
         #: Quiet machines (reverse-engineering benches) take no IRQs.
         self.quiet = params.noise.switch_fixed_ips == 0
 
-        #: Runtime invariant auditing (repro.sanitize); ``None`` when off, so
-        #: the published-event tap is simply never registered.  Built last —
-        #: its checkers read the TLB and the hierarchy — and tapped after the
-        #: tracer, preserving emit-then-audit order.
+        #: Runtime invariant auditing (repro.sanitize); ``None`` when off.
+        #: Built last — its checkers read the TLB and the hierarchy.  The
+        #: load and switch paths call it after they emit their trace event.
         self.sanitizer: Sanitizer | None = (
             Sanitizer(self) if sanitize_enabled(sanitize) else None
         )
         if self.sanitizer is not None:
             self.sanitizer.register_space(self.kernel_space)
-            self.kernel.add_tap(SanitizerTap(self.sanitizer), reads_trace=False)
 
     # ------------------------------------------------------------------ #
     # Clock                                                               #
@@ -319,12 +309,14 @@ class Machine:
         histogram = self.latency_histogram
         histogram.counts[bisect_left(histogram.bounds, latency)] += 1
         histogram.total += 1
-        kernel = self.kernel
-        if kernel.taps:
-            translation = TranslationResult(vaddr, paddr, not walk_latency, walk_latency)
-            kernel.publish(
-                LoadRetired, ctx, ip, vaddr, fenced, translation, result, event, issued, latency
+        if self.tracer is not None:
+            self.kernel.publish(
+                LoadTraced, clock.cycles, ip, vaddr, paddr, int(result.level), latency,
+                not walk_latency, fenced, space.asid,
             )
+        sanitizer = self.sanitizer
+        if sanitizer is not None:
+            sanitizer.after_load(event, paddr, issued)
         return latency
 
     def _dispatch(
@@ -335,8 +327,10 @@ class Machine:
         # the prefetcher, then the fill landing in the hierarchy.
         kernel, hierarchy = self.kernel, self.hierarchy
         for request in requests:
-            if kernel.trace_taps:
-                kernel.publish(PrefetchDispatched, request, trigger_ip)
+            if kernel.tracer is not None:
+                kernel.publish(
+                    PrefetchIssued, kernel.clock.cycles, request.source, request.paddr, trigger_ip
+                )
             hierarchy.insert_prefetch(request.paddr)
         return tuple(requests)
 
@@ -347,8 +341,8 @@ class Machine:
         self.hierarchy.clflush(paddr)
         self._kernel_clock.charge(ctx, CLFLUSH_CYCLES)
         kernel = self.kernel
-        if kernel.trace_taps:
-            kernel.publish(LineFlushed, ctx, vaddr, paddr)
+        if kernel.tracer is not None:
+            kernel.publish(Clflush, kernel.clock.cycles, vaddr, paddr)
 
     def flush_buffer(self, ctx: ThreadContext, buffer: Buffer) -> None:
         """clflush every line of ``buffer`` (the Flush stage of F+R)."""
@@ -408,12 +402,17 @@ class Machine:
         if self.flush_prefetcher_on_switch:
             self.run_prefetcher_clear()
         self.current = to_ctx
-        self.kernel.publish(
-            SwitchCompleted,
-            None if from_ctx is None else from_ctx.name,
-            to_ctx.name,
-            cross_space,
-        )
+        kernel = self.kernel
+        if kernel.tracer is not None:
+            kernel.publish(
+                ContextSwitch,
+                kernel.clock.cycles,
+                None if from_ctx is None else from_ctx.name,
+                to_ctx.name,
+                cross_space,
+            )
+        if self.sanitizer is not None:
+            self.sanitizer.after_switch()
 
     def maybe_tick(self) -> None:
         """Run the kernel timer-IRQ path when the tick has elapsed.
@@ -437,9 +436,6 @@ class Machine:
         self._touch_noise_lines(8)
         # Which IRQ handler ran is data-dependent: one variable-IP load.
         self._kernel_prefetcher_noise(self._os_rng.integers(0, _KERNEL_IP_SPACE, size=1).tolist())
-        kernel = self.kernel
-        if kernel.trace_taps:
-            kernel.publish(TimerFired, clock.cycles)
 
     def run_prefetcher_clear(self) -> None:
         """Execute the proposed privileged clear-ip-prefetcher instruction."""
@@ -499,8 +495,9 @@ class Machine:
     def span(self, name: str) -> Span:
         """Open a cycle-attribution span: ``with machine.span("train"): ...``
 
-        The span always feeds ``machine.profile``; its ``SpanBegin`` and
-        ``SpanEnd`` events are published through the kernel.
+        The span always feeds ``machine.profile``; on a traced machine its
+        ``SpanBegin`` and ``SpanEnd`` events are published through the
+        kernel.
         """
         return Span(self.profile, name, machine=self)
 

@@ -201,8 +201,8 @@ class CacheHierarchy:
         l2_set[line] = None
         self._prefetched_lines.add(line)
         kernel = self.kernel
-        if kernel is not None and kernel.trace_taps:
-            kernel.publish(PrefetchFill, kernel.clock_of().cycles, paddr)
+        if kernel is not None and kernel.tracer is not None:
+            kernel.publish(PrefetchFill, kernel.clock.cycles, paddr)
 
     def _evict_llc_lru(self, llc_set: dict[int, None]) -> None:
         """Evict the LRU line of a full LLC set, and by inclusion from L1/L2."""

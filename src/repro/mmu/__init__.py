@@ -13,7 +13,7 @@ from repro.mmu.address_space import AddressSpace, Mapping
 from repro.mmu.aslr import Aslr
 from repro.mmu.buffer import Buffer
 from repro.mmu.page_table import PageTable, PhysicalMemory
-from repro.mmu.tlb import TLB, TranslationResult
+from repro.mmu.tlb import TLB
 
 __all__ = [
     "AddressSpace",
@@ -23,5 +23,4 @@ __all__ = [
     "PageTable",
     "PhysicalMemory",
     "TLB",
-    "TranslationResult",
 ]

@@ -9,7 +9,6 @@ secret-dependent loads, exactly as streaming applications do naturally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.memsys.addr import page_frame
@@ -22,25 +21,6 @@ if TYPE_CHECKING:
 
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 _PAGE_MASK = PAGE_SIZE - 1
-
-
-@dataclass(slots=True)
-class TranslationResult:
-    """Outcome of translating one virtual address, as the kernel's taps see it.
-
-    ``TLB.translate`` itself returns plain ``(paddr, walk_latency)``; the
-    load path builds this record only when a tap observes the machine
-    (per-load: not frozen, DESIGN.md §6).
-    """
-
-    vaddr: int
-    paddr: int
-    tlb_hit: bool
-    latency: int
-
-    @property
-    def frame(self) -> int:
-        return page_frame(self.paddr)
 
 
 class TLB:
@@ -87,8 +67,8 @@ class TLB:
             return (frame << _PAGE_SHIFT) | (vaddr & _PAGE_MASK), 0
         self.misses += 1
         kernel = self.kernel
-        if kernel is not None and kernel.trace_taps:
-            kernel.publish(TlbMiss, kernel.clock_of().cycles, space.asid, vaddr, vpage)
+        if kernel is not None and kernel.tracer is not None:
+            kernel.publish(TlbMiss, kernel.clock.cycles, space.asid, vaddr, vpage)
         frame = space.page_table.frame_of(vpage)
         if frame is None:
             raise KeyError(f"page fault: {vaddr:#x} not mapped in {space.name!r}")

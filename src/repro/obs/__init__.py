@@ -4,10 +4,10 @@ Three layers over the simulated machine:
 
 * **Tracing** (`events`, `tracer`, `sinks`) — typed events published by
   the CPU, memory hierarchy, prefetcher, TLB, spans and sanitizer through
-  the machine's kernel; the kernel's ``TracerTap`` hands them to the
-  :class:`Tracer`, which fans them out to ring-buffer / JSONL /
-  Chrome-trace sinks.  Off by default: an untraced machine has no tracer
-  tap, and each publish site costs one check of the kernel's tap lists.
+  the machine's kernel to its one :class:`Tracer`, which fans them out to
+  ring-buffer / JSONL / Chrome-trace sinks.  Off by default: an untraced
+  machine has no tracer, and each publish site costs one ``is None``
+  check.
 * **Metrics** (`metrics`) — a snapshot of every component counter plus the
   measured-latency histogram straddling the LLC-hit threshold.
 * **Profiling** (`profiler`) — ``with machine.span("train"): ...`` scopes

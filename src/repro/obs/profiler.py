@@ -5,7 +5,7 @@ wall-clock seconds to the named phase.  The aggregate lives on the machine
 (``machine.profile``) and is *always* collected — spans are rare (a few
 per attack round) so the cost is negligible — while the ``SpanBegin`` /
 ``SpanEnd`` trace events are published through the machine's kernel, so
-they are built only when a tap reads trace events (``kernel.trace_taps``).
+they are built only when the machine has a tracer (``kernel.tracer``).
 
 Wall-clock time never enters the event stream (it would break the
 byte-identical-trace guarantee); it is reported only through
@@ -90,9 +90,9 @@ class Span:
     """Context manager attributing one scope to ``profile[name]``.
 
     Reads the machine's simulated clock at entry and exit and publishes
-    ``SpanBegin``/``SpanEnd`` through the machine's kernel.  The taps are
-    fixed when the machine is built, so a span whose begin was observed
-    always has its end observed too.  Reentrant use of the same name
+    ``SpanBegin``/``SpanEnd`` through the machine's kernel.  The tracer is
+    fixed when the machine is built, so a span whose begin was traced
+    always has its end traced too.  Reentrant use of the same name
     simply accumulates.
     """
 
@@ -108,7 +108,7 @@ class Span:
         machine = self.machine
         if machine is not None:
             self._start_cycles = machine.cycles
-            if machine.kernel.trace_taps:
+            if machine.kernel.tracer is not None:
                 machine.kernel.publish(SpanBegin, self._start_cycles, self.name)
         return self
 
@@ -119,6 +119,6 @@ class Span:
         if machine is not None:
             now = machine.cycles
             cycles = now - self._start_cycles
-            if machine.kernel.trace_taps:
+            if machine.kernel.tracer is not None:
                 machine.kernel.publish(SpanEnd, now, self.name, cycles)
         self.profile.add(self.name, cycles, wall)

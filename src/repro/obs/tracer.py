@@ -1,11 +1,12 @@
 """Tracer: fans the machine's trace events out to sinks.
 
-Every observation leaves the model through its kernel: components publish
-with ``kernel.publish(kind, *fields)``, and a traced machine registers a
-``TracerTap`` — the one caller of :meth:`Tracer.emit` in the model — that
-hands each event to this tracer.  An untraced machine has no tracer
-(``Machine.tracer is None``) and no tracer tap, so its publish sites build
-no trace event at all; with no sanitizer either, they build no event.
+A traced machine's kernel holds one tracer.  The machine's load,
+prefetch-dispatch, clflush and switch paths, the TLB, the cache hierarchy,
+the IP-stride prefetcher, spans and sanitizer violations all publish with
+``kernel.publish(kind, *fields)``, which builds the event and hands it to
+:meth:`Tracer.emit`.  An untraced machine has no tracer
+(``Machine.tracer is None``), and every publish site checks for that
+first, so it builds no trace event at all.
 
 ``Machine(trace=...)`` and the ``REPRO_TRACE`` environment variable mirror
 the ``sanitize=`` / ``REPRO_SANITIZE`` convention from ``repro.sanitize``.

@@ -127,7 +127,7 @@ class IPStridePrefetcher(Prefetcher):
         # Every branch below leaves the confidence at 1 or more.
         self._unconfirmed.discard(slot)
         kernel = self.kernel
-        traced = kernel is not None and kernel.trace_taps
+        traced = kernel is not None and kernel.tracer is not None
         before = EntrySnapshot.of(entry) if traced else None
 
         requests: list[PrefetchRequest] = []
@@ -154,7 +154,7 @@ class IPStridePrefetcher(Prefetcher):
         entry.last_paddr = event.paddr
         if traced:
             kernel.publish(
-                TableTransition, kernel.clock_of().cycles, "update", index, slot,
+                TableTransition, kernel.clock.cycles, "update", index, slot,
                 before, EntrySnapshot.of(entry), None, bool(requests),
             )
         return requests
@@ -213,7 +213,7 @@ class IPStridePrefetcher(Prefetcher):
         """
         self.allocations += 1
         kernel = self.kernel
-        traced = kernel is not None and kernel.trace_taps
+        traced = kernel is not None and kernel.tracer is not None
         if len(self._index_to_slot) < self.params.n_entries:
             slot = free_slot(self._slots)
         else:
@@ -225,7 +225,7 @@ class IPStridePrefetcher(Prefetcher):
             self.evictions_by_cause[cause] += 1
             if traced:
                 kernel.publish(
-                    TableTransition, kernel.clock_of().cycles, "evict", victim.index, slot,
+                    TableTransition, kernel.clock.cycles, "evict", victim.index, slot,
                     EntrySnapshot.of(victim), None, cause,
                 )
         entry = IPStrideEntry(index=index, last_vaddr=event.vaddr, last_paddr=event.paddr)
@@ -235,7 +235,7 @@ class IPStridePrefetcher(Prefetcher):
         self._policy.fill(slot)
         if traced:
             kernel.publish(
-                TableTransition, kernel.clock_of().cycles, "allocate", index, slot,
+                TableTransition, kernel.clock.cycles, "allocate", index, slot,
                 None, EntrySnapshot.of(entry),
             )
 
@@ -276,9 +276,9 @@ class IPStridePrefetcher(Prefetcher):
         self._unconfirmed.clear()
         self._policy.reset()
         kernel = self.kernel
-        if kernel is not None and kernel.trace_taps:
+        if kernel is not None and kernel.tracer is not None:
             kernel.publish(
-                TableTransition, kernel.clock_of().cycles, "clear", -1, -1,
+                TableTransition, kernel.clock.cycles, "clear", -1, -1,
                 None, None, None, False, evicted,
             )
 

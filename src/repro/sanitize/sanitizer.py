@@ -28,7 +28,6 @@ from repro.sanitize.violations import InvariantViolation
 if TYPE_CHECKING:
     from repro.cpu.machine import Machine
     from repro.mmu.address_space import AddressSpace
-    from repro.mmu.tlb import TranslationResult
     from repro.prefetch.base import LoadEvent, PrefetchRequest
 
 #: Environment variable that switches the sanitizer on for every Machine.
@@ -54,7 +53,7 @@ class Sanitizer:
     def __init__(self, machine: Machine, full_scan_interval: int = 4096) -> None:
         if full_scan_interval <= 0:
             raise ValueError(f"full_scan_interval must be positive, got {full_scan_interval}")
-        # Weak: the machine holds this sanitizer through its kernel's tap.
+        # Weak: the machine holds this sanitizer.
         self.machine = weakref.proxy(machine)
         self.full_scan_interval = full_scan_interval
         self.prefetcher = PrefetcherChecker(machine.ip_stride)
@@ -72,13 +71,16 @@ class Sanitizer:
     def after_load(
         self,
         event: LoadEvent | None,
-        translation: TranslationResult,
-        issued: list[PrefetchRequest],
+        paddr: int,
+        issued: tuple[PrefetchRequest, ...],
     ) -> None:
-        """Audit state after one load retires (the machine's main hook).
+        """Audit state after the load of ``paddr`` retires (``Machine.load``
+        calls this after tracing the load).
 
         ``event`` is ``None`` for fenced loads, which by definition did not
-        touch the prefetchers; the cache and TLB checks still apply.
+        touch the prefetchers; the cache and TLB checks still apply.  Every
+        request the running IP-stride table issued, stock or tagged, must
+        stay in the triggering access's frame.
         """
         self._loads_checked += 1
         self.checks_run += 1
@@ -86,10 +88,11 @@ class Sanitizer:
         try:
             self._check_prefetcher(cycle)
             self.tlb.check_fast(cycle)
-            self.hierarchy.check_line(translation.paddr, cycle)
-            if event is not None:
+            self.hierarchy.check_line(paddr, cycle)
+            if event is not None and issued:
+                source = self.machine.ip_stride.name
                 for request in issued:
-                    if request.source == "ip-stride":
+                    if request.source == source:
                         self.prefetcher.check_request(event, request, cycle)
             if self._loads_checked % self.full_scan_interval == 0:
                 self.tlb.check(self._spaces, cycle)
@@ -99,7 +102,8 @@ class Sanitizer:
             raise
 
     def after_switch(self) -> None:
-        """Audit state after a context switch injected its noise.
+        """Audit state after a context switch injected its noise
+        (``Machine.context_switch`` calls this after tracing the switch).
 
         The TLB flush and the switch path's prefetcher pollution make this
         the natural boundary for the full TLB/page-table cross-check; the
@@ -135,7 +139,8 @@ class Sanitizer:
 
         The §8.2 defenses swap ``machine.ip_stride`` after the sanitizer is
         built, so the table is read at check time.  The tagged and disabled
-        tables have no checker and go unaudited.
+        tables have no structural checker; ``after_load`` still frame-checks
+        the requests they issue.
         """
         table = self.machine.ip_stride
         if isinstance(table, IPStridePrefetcher):
@@ -145,7 +150,7 @@ class Sanitizer:
     def _trace_violation(self, violation: InvariantViolation) -> None:
         """Publish a violation through the machine's kernel before it propagates."""
         machine = self.machine
-        if not machine.kernel.trace_taps:
+        if machine.kernel.tracer is None:
             return
         machine.kernel.publish(
             SanitizerViolation,

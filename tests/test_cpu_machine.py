@@ -294,8 +294,8 @@ class TestLifetime:
 
     def test_dropped_sanitized_machine_is_freed_by_reference_counting(self):
         # The sanitizer reads the machine's clock and tracer, and the machine
-        # reaches the sanitizer through its kernel's tap: only a weak
-        # back-reference keeps that from being a cycle.
+        # holds the sanitizer: only a weak back-reference keeps that from
+        # being a cycle.
         enabled = gc.isenabled()
         gc.disable()
         try:

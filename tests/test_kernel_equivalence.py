@@ -1,9 +1,10 @@
-"""Differential equivalence gate for the simulation-kernel refactor.
+"""Differential equivalence gate for the simulated machine.
 
-The simulation kernel (:mod:`repro.cpu.kernel`) re-expresses the load
-path, context switching and timer interrupts as a call chain through
-pluggable components.  It is only shippable because these tests pin its
-behaviour to *committed bytes* produced by the pre-kernel ``Machine``:
+``Machine`` runs the load path, context switching and timer interrupts
+itself, over the simulation kernel's clock (:mod:`repro.cpu.kernel`).
+Every refactor of those paths is only shippable because these tests pin
+their behaviour to *committed bytes* produced by the pre-kernel
+``Machine``:
 
 * two same-seed JSONL traces (variant1 + covert) must replay
   byte-identically;

@@ -14,6 +14,7 @@ from repro.cpu.machine import Machine
 from repro.memsys.hierarchy import CacheHierarchy
 from repro.obs.events import (
     EVENT_TYPES,
+    ContextSwitch,
     EntrySnapshot,
     LoadTraced,
     PrefetchFill,
@@ -230,7 +231,7 @@ class TestTracer:
         monkeypatch.delenv(ENV_VAR, raising=False)
         machine = Machine(COFFEE_LAKE_I7_9700, seed=1, sanitize=False)
         assert machine.tracer is None
-        assert machine.kernel.taps == []
+        assert machine.kernel.tracer is None
 
 
 def _strided_run(machine):
@@ -328,18 +329,18 @@ class TestMachineWiring:
 
 
 class TestOneObservationPath:
-    """Every trace event reaches the tracer through the machine's kernel."""
+    """Every trace event reaches the machine's one tracer, and the load and
+    switch paths emit their event before the sanitizer audits them."""
 
     def test_component_events_reach_a_tap_stamped_from_the_kernel_clock(self):
-        kernel = SimKernel()
-        seen = []
-        kernel.add_tap(seen.append)
-        kernel.clock_of().cycles = 42
+        tracer = Tracer()
+        kernel = SimKernel(tracer)
+        kernel.clock.cycles = 42
         hierarchy = CacheHierarchy(COFFEE_LAKE_I7_9700, kernel=kernel)
         hierarchy.insert_prefetch(0x1000)
         prefetcher = IPStridePrefetcher(COFFEE_LAKE_I7_9700.prefetcher, kernel=kernel)
         prefetcher.clear()
-        assert seen == [
+        assert tracer.events() == [
             PrefetchFill(cycle=42, paddr=0x1000),
             TableTransition(
                 cycle=42, transition="clear", index=-1, slot=-1, before=None, after=None
@@ -356,6 +357,41 @@ class TestOneObservationPath:
         assert isinstance(last, SanitizerViolation)
         assert last.invariant == excinfo.value.invariant
         assert last.cycle == machine.cycles
+
+    @staticmethod
+    def _corrupted_machine():
+        """A traced, sanitized, quiet machine with one corrupted IP-stride
+        entry (the walker's); the quiet preset keeps the switch and IRQ
+        paths from touching the table."""
+        machine = Machine(COFFEE_LAKE_I7_9700.quiet(), seed=11, trace=True, sanitize=True)
+        ctx, buffer = _strided_run(machine)
+        (entry,) = machine.ip_stride.entries()
+        entry.confidence = -1  # repro: noqa[RL005] - deliberate corruption
+        return machine, ctx, buffer
+
+    def _assert_traced_then_audited(self, machine, excinfo, kind):
+        *_, traced, violation = machine.tracer.events()
+        assert isinstance(traced, kind)
+        assert isinstance(violation, SanitizerViolation)
+        assert violation.invariant == excinfo.value.invariant == "confidence-range"
+        assert traced.cycle == violation.cycle == machine.cycles
+        return traced
+
+    def test_load_is_traced_then_audited(self):
+        machine, ctx, buffer = self._corrupted_machine()
+        ip = 0x0040_1777  # another entry: the corrupted one is not retrained
+        with pytest.raises(InvariantViolation) as excinfo:
+            machine.load(ctx, ip, buffer.line_addr(1))
+        traced = self._assert_traced_then_audited(machine, excinfo, LoadTraced)
+        assert (traced.ip, traced.fenced) == (ip, False)
+
+    def test_switch_is_traced_then_audited(self):
+        machine, _, _ = self._corrupted_machine()
+        other = machine.new_thread("other")
+        with pytest.raises(InvariantViolation) as excinfo:
+            machine.context_switch(other)
+        traced = self._assert_traced_then_audited(machine, excinfo, ContextSwitch)
+        assert (traced.to_ctx, traced.cross_space) == ("other", True)
 
 
 class TestLeakcheckViaTrace:

@@ -2,18 +2,16 @@
 
 Two contracts:
 
-* **Disabled means free** — with no tracer and no sanitizer the machine's
-  kernel has no tap, so the hot path must not construct a single event
-  object, trace or kernel-published (structural test with raising event
-  stubs); with the sanitizer alone it builds only the events the audit
-  tap reads; and a
+* **Disabled means free** — an untraced machine must not construct a
+  single trace event, with or without the sanitizer (structural test with
+  raising event stubs: the sanitizer is called with plain values); and a
   fixed covert run must stay within 5 % of the
   wall clock of a fully-traced run of the same workload (best of three
   interleaved pairs; tracing serializes thousands of events, so a
   disabled path that secretly pays the tracing cost shows up here).
 * **Traced means deterministic** — two same-seed traced runs serialize to
   byte-identical JSONL, and tracing plus sanitizing leaves every attack's
-  wall-clock-free aggregate unchanged (taps only observe).
+  wall-clock-free aggregate unchanged (both only observe).
 """
 
 from time import perf_counter  # repro: noqa[RL003] — measuring the host is the point
@@ -23,7 +21,6 @@ import pytest
 import repro.cpu.machine as machine_mod
 import repro.memsys.hierarchy as hierarchy_mod
 import repro.mmu.tlb as tlb_mod
-import repro.obs.events as events_mod
 import repro.obs.profiler as profiler_mod
 import repro.prefetch.ip_stride as ip_stride_mod
 import repro.sanitize.sanitizer as sanitizer_mod
@@ -50,9 +47,16 @@ class _Exploding:
         raise AssertionError("event constructed while tracing is disabled")
 
 
-#: (module, attribute) of every event class a hook site instantiates.
+#: (module, attribute) of every event class a hook site instantiates.  Each
+#: module imports its event classes at load time, so patching the name
+#: there reaches every site.
 _HOOK_EVENT_SITES = [
-    # Trace events the model publishes ready-built through its kernel.
+    # The machine's own load, prefetch-dispatch, clflush and switch events.
+    (machine_mod, "LoadTraced"),
+    (machine_mod, "PrefetchIssued"),
+    (machine_mod, "Clflush"),
+    (machine_mod, "ContextSwitch"),
+    # Trace events the model publishes through its kernel.
     (ip_stride_mod, "TableTransition"),
     (ip_stride_mod, "EntrySnapshot"),
     (tlb_mod, "TlbMiss"),
@@ -60,48 +64,22 @@ _HOOK_EVENT_SITES = [
     (profiler_mod, "SpanBegin"),
     (profiler_mod, "SpanEnd"),
     (sanitizer_mod, "SanitizerViolation"),
-    # The kernel's TracerTap imports the events it translates lazily per
-    # call, so patching the defining module covers it.
-    (events_mod, "LoadTraced"),
-    (events_mod, "PrefetchIssued"),
-    (events_mod, "Clflush"),
-    (events_mod, "ContextSwitch"),
-    (events_mod, "PrefetchFill"),
-    (events_mod, "TlbMiss"),
-    (events_mod, "SanitizerViolation"),
-    (events_mod, "SpanBegin"),
-    (events_mod, "SpanEnd"),
-    # The kernel's published events: built only when the machine has a tap.
-    (machine_mod, "LoadRetired"),
-    (machine_mod, "TranslationResult"),
-    (machine_mod, "PrefetchDispatched"),
-    (machine_mod, "LineFlushed"),
-    (machine_mod, "SwitchCompleted"),
-    (machine_mod, "TimerFired"),
 ]
-
-#: The sites the sanitizer's audit tap reads: a sanitized machine builds them.
-_AUDITED_SITES = {
-    (machine_mod, "LoadRetired"),
-    (machine_mod, "TranslationResult"),
-    (machine_mod, "SwitchCompleted"),
-}
 
 
 class TestDisabledPath:
     def test_no_event_constructed_when_disabled(self, monkeypatch):
         for module, name in _HOOK_EVENT_SITES:
             monkeypatch.setattr(module, name, _Exploding)
-        # No tracer and no sanitizer: no tap, so no stub may be touched.
+        # No tracer and no sanitizer: no stub may be touched.
         batch = run_trials("covert", seed=SEED, rounds=ROUNDS, sanitize=False)
         assert batch.quality > 0.5
 
     def test_no_trace_event_constructed_when_only_sanitized(self, monkeypatch):
-        # The audit tap reads loads and switches only: a sanitized,
-        # untraced machine must build no trace-only event for it.
+        # The sanitizer is called with plain values: a sanitized, untraced
+        # machine must build no event at all.
         for module, name in _HOOK_EVENT_SITES:
-            if (module, name) not in _AUDITED_SITES:
-                monkeypatch.setattr(module, name, _Exploding)
+            monkeypatch.setattr(module, name, _Exploding)
         batch = run_trials("covert", seed=SEED, rounds=ROUNDS, sanitize=True)
         assert batch.quality > 0.5
 
@@ -155,7 +133,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", attack_names())
     def test_taps_do_not_change_aggregates(self, name):
-        # The tracer and sanitizer taps observe; they must not perturb.
+        # The tracer and the sanitizer observe; they must not perturb.
         def aggregate(observed: bool) -> dict:
             batch = run_trials(name, seed=SEED, rounds=1, trace=observed, sanitize=observed)
             return batch.wall_clock_free_dict()

@@ -10,6 +10,7 @@ lint rule RL005 exists to catch — so each carries its noqa marker.
 import pytest
 
 from repro.cpu.machine import Machine
+from repro.defenses import harden_machine
 from repro.memsys.hierarchy import MemoryLevel
 from repro.params import COFFEE_LAKE_I7_9700, PAGE_SIZE
 from repro.prefetch.base import LoadEvent, PrefetchRequest
@@ -153,6 +154,22 @@ class TestPageBoundaryInvariant:
         )
         same_frame = PrefetchRequest(paddr=(paddr // PAGE_SIZE) * PAGE_SIZE, source="ip-stride")
         machine.sanitizer.prefetcher.check_request(event, same_frame)
+
+    def test_tagged_table_requests_are_frame_checked(self, monkeypatch):
+        # The §8.2 tagged table applies the same same-frame rule, so its
+        # requests are checked like the stock table's.
+        machine, ctx, buf = trained_machine()
+        tagged = harden_machine(machine)
+        observe = tagged.observe
+
+        def crossing_observe(event, translate):
+            crossing = PrefetchRequest(paddr=event.paddr + PAGE_SIZE, source=tagged.name)
+            return observe(event, translate) + [crossing]
+
+        monkeypatch.setattr(tagged, "observe", crossing_observe)
+        with pytest.raises(InvariantViolation) as excinfo:
+            machine.load(ctx, 0x40_1000, buf.page_line_addr(0, 5))
+        assert excinfo.value.invariant == "page-boundary"
 
     def test_model_never_issues_crossing_requests(self):
         # End to end: a victim trained right up to a page boundary must not
