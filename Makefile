@@ -11,7 +11,7 @@ test:
 test-sanitize:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q
 
-# Full pass: syntactic rules + the CFG/dataflow rules (RL014-RL018).
+# Full pass: syntactic rules + the CFG/dataflow rules (RL014, RL015, RL018).
 lint:
 	$(PYTHON) -m repro.lint src tests benchmarks examples
 
@@ -45,9 +45,9 @@ leakcheck-scan:
 # The three paper-evaluation grids, cached and resumable in .campaign-store
 # (re-run `make campaign` after an interrupt: finished cells are not redone).
 campaign:
-	$(PYTHON) -m repro.cli campaign run revng-table1 --store .campaign-store --jobs 2
-	$(PYTHON) -m repro.cli campaign run attacks-vs-noise --store .campaign-store --jobs 2
-	$(PYTHON) -m repro.cli campaign run defense-matrix --store .campaign-store --jobs 2
+	$(PYTHON) -m repro.cli campaign run revng-table1 --store .campaign-store
+	$(PYTHON) -m repro.cli campaign run attacks-vs-noise --store .campaign-store
+	$(PYTHON) -m repro.cli campaign run defense-matrix --store .campaign-store
 
 # The CI smoke (mirrors the CI `campaign-smoke` job): a tiny campaign run
 # twice into one store; the second pass must execute nothing.  Byte-identical
@@ -55,8 +55,8 @@ campaign:
 CAMPAIGN_SMOKE_ARGS := attacks-vs-noise --attacks variant1,sgx --rounds 3 --repeats 1
 campaign-smoke:
 	rm -rf campaign-smoke-store
-	$(PYTHON) -m repro.cli campaign run $(CAMPAIGN_SMOKE_ARGS) --store campaign-smoke-store --jobs 2
-	$(PYTHON) -m repro.cli campaign run $(CAMPAIGN_SMOKE_ARGS) --store campaign-smoke-store --jobs 2 \
+	$(PYTHON) -m repro.cli campaign run $(CAMPAIGN_SMOKE_ARGS) --store campaign-smoke-store
+	$(PYTHON) -m repro.cli campaign run $(CAMPAIGN_SMOKE_ARGS) --store campaign-smoke-store \
 		| tee campaign-smoke-store/warm.txt
 	grep -q "cached, 0 executed, 0 failed" campaign-smoke-store/warm.txt
 	$(PYTHON) -m repro.cli campaign status $(CAMPAIGN_SMOKE_ARGS) --store campaign-smoke-store \
@@ -69,9 +69,9 @@ campaign-smoke:
 FLEET_SMOKE_ARGS := attacks-vs-noise --repeats 1 --rounds 6
 fleet-smoke:
 	rm -rf fleet-smoke-store
-	$(PYTHON) -m repro.cli campaign run $(FLEET_SMOKE_ARGS) --store fleet-smoke-store/serial --jobs 2
-	$(PYTHON) -m repro.cli campaign run $(FLEET_SMOKE_ARGS) --shard 0/2 --store fleet-smoke-store/worker-0 --jobs 2 & \
-		$(PYTHON) -m repro.cli campaign run $(FLEET_SMOKE_ARGS) --shard 1/2 --store fleet-smoke-store/worker-1 --jobs 2 & \
+	$(PYTHON) -m repro.cli campaign run $(FLEET_SMOKE_ARGS) --store fleet-smoke-store/serial
+	$(PYTHON) -m repro.cli campaign run $(FLEET_SMOKE_ARGS) --shard 0/2 --store fleet-smoke-store/worker-0 & \
+		$(PYTHON) -m repro.cli campaign run $(FLEET_SMOKE_ARGS) --shard 1/2 --store fleet-smoke-store/worker-1 & \
 		wait
 	$(PYTHON) -m repro.cli campaign merge fleet-smoke-store/worker-0 fleet-smoke-store/worker-1 --store fleet-smoke-store/merged
 	$(PYTHON) -m repro.cli campaign aggregate $(FLEET_SMOKE_ARGS) --store fleet-smoke-store/serial -o fleet-smoke-store/serial.agg.json

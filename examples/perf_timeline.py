@@ -1,27 +1,25 @@
 #!/usr/bin/env python3
-"""Where does a parallel attack-suite run spend its wall-clock?
+"""Where does an attack-suite run spend its wall-clock?
 
 Runs a (scaled-down) attack suite as a one-axis campaign through
-``CampaignRunner(telemetry=True)`` and walks the cross-process telemetry
-three ways:
+``CampaignRunner(telemetry=True)`` and reads the runner's timeline:
 
-* the attribution table partitions the parent's wall-clock into four
-  named buckets (serialize / queue / compute / serial) whose sum is the
-  wall interval **by construction** — coverage is printed so you can
-  check it,
-* the per-worker lanes show which pid computed which cell, how long it
-  queued, and how many KiB crossed the pool in each direction,
-* a Chrome ``trace_event`` file is written with one labeled process lane
-  per worker — load it in chrome://tracing or https://ui.perfetto.dev.
+* the attribution table partitions the wall-clock into the cells, the
+  trial store, retry backoff and an explicit ``unattributed`` remainder;
+  coverage is the share the measured buckets explain,
+* the per-cell records rank the attacks by host seconds,
+* the timeline is written as JSON (the same document ``afterimage perf
+  --format json`` nests under ``telemetry``).
 
-The same data answers the speedup-below-1 puzzle (``--jobs 2`` on a
-one-core container, EXPERIMENTS.md "Where the parallel time goes"): the dominant bucket is compute
-inflation from timesharing, not pickling or queueing.
+Cells run one after another in this process; to fill a larger grid in
+parallel, run ``afterimage campaign run --shard i/N`` workers and merge
+their stores (docs/CAMPAIGN.md).
 
-Run:  python examples/perf_timeline.py [--jobs N] [--rounds R] [--out perf.trace.json]
+Run:  python examples/perf_timeline.py [--rounds R] [--out perf.json]
 """
 
 import argparse
+import json
 import tempfile
 
 from repro.attacks import attack_names
@@ -30,12 +28,11 @@ from repro.campaign import CampaignRunner, CampaignSpec, TrialStore
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--seed", type=int, default=2023)
     parser.add_argument(
         "--rounds", type=int, default=4, help="rounds per attack (keep runs short)"
     )
-    parser.add_argument("--out", default="perf.trace.json")
+    parser.add_argument("--out", default="perf.json")
     args = parser.parse_args()
 
     spec = CampaignSpec(
@@ -45,33 +42,27 @@ def main() -> None:
         base_seed=args.seed,
     )
     with tempfile.TemporaryDirectory() as store_dir:
-        runner = CampaignRunner(TrialStore(store_dir), jobs=args.jobs, telemetry=True)
-        result = runner.run(spec)
+        result = CampaignRunner(TrialStore(store_dir), telemetry=True).run(spec)
     timeline = result.telemetry
     assert timeline is not None
 
-    print(f"attack suite through the campaign runner, jobs={args.jobs}")
-    for cell, batch in result.groups():
-        print(
-            f"  {cell.experiment:16s} quality {batch.quality:.2f}  "
-            f"({batch.n_trials} trials)"
-        )
-    print()
     print("where the time went")
     print(timeline.render_text())
     print()
+    print("cells by host seconds")
+    for record in sorted(timeline.records, key=lambda r: r.seconds, reverse=True):
+        print(f"  {record.label:36s} {record.seconds:7.3f}s")
+    print()
     attribution = timeline.attribution()
     print(
-        f"attribution covers {attribution['coverage'] * 100:.1f}% of the "
+        f"measured buckets cover {attribution['coverage'] * 100:.1f}% of the "
         f"{timeline.wall_seconds:.2f}s wall; dominant overhead bucket "
-        f"(non-compute): {timeline.dominant_overhead()}"
+        f"(not cells): {timeline.dominant_overhead()}"
     )
 
-    timeline.write_chrome(args.out)
-    print(
-        f"wrote {args.out}: {len(timeline.records)} cells across "
-        f"{len(timeline.lanes())} worker lanes"
-    )
+    with open(args.out, "w") as handle:
+        json.dump(timeline.as_dict(), handle, indent=2)
+    print(f"wrote {args.out}")
 
 
 if __name__ == "__main__":

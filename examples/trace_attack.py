@@ -42,7 +42,7 @@ def main() -> None:
     print()
 
     print("cycle attribution by phase:")
-    print(machine.profile.render_text())
+    print(machine.profile.render_text(machine.cycles))
     print()
 
     counts = Counter(event.kind for event in ring.events())

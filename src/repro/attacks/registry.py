@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
 
 from repro.attacks.trial import Trial, TrialBatch
+from repro.obs.profiler import OUTER_SPAN
 from repro.params import DEFAULT_MACHINE, MachineParams
 from repro.utils.rng import make_rng
 
@@ -166,7 +167,7 @@ def run_on_machine(
     if rounds <= 0:
         raise ValueError(f"rounds must be positive, got {rounds}")
     rng = make_rng(seed)
-    with machine.span("total"):
+    with machine.span(OUTER_SPAN):
         scenario = spec.scenario(machine, rng, **(options or {}))
         trials = scenario.run_trials(rounds)
     notes = dict(getattr(scenario, "notes", None) or {})

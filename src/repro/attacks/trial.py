@@ -7,13 +7,14 @@ whether they agree.  :class:`Trial` captures one such round (keeping the
 attack's rich result dataclass as an opaque ``payload``);
 :class:`TrialBatch` is one scenario execution — a machine, a seed, a list
 of trials, the scored quality figure, and serializable machine snapshots
-(span profile + metrics) so batches survive a ``multiprocessing`` hop
-where the :class:`~repro.cpu.machine.Machine` itself cannot.
+(span profile + metrics) so batches outlive the
+:class:`~repro.cpu.machine.Machine` that produced them.
 
 Batches from a trial matrix (attack × seed × machine) merge with
 :meth:`TrialBatch.merge`, which recomputes the aggregate success rate from
-the union of trials — the executor's fan-out therefore cannot change any
-aggregate number, only the wall-clock it takes to produce it.
+the union of trials — how the cells were split across runs (repeats,
+fleet shards) therefore cannot change any aggregate number, only the
+wall-clock it takes to produce it.
 
 Batches also round-trip through plain dicts: ``TrialBatch.from_dict(
 batch.as_dict())`` reconstructs every aggregate-bearing field, which is
@@ -131,10 +132,10 @@ class TrialBatch:
         """:meth:`as_dict` with host wall-clock stripped from the spans.
 
         This is the canonical determinism view: every field left is
-        derived from the seed, so two same-seed runs — serial, pooled,
-        cached, retried, telemetry on or off — must serialize to
-        byte-identical JSON.  Both the campaign aggregates and the
-        telemetry benches compare exactly this.
+        derived from the seed, so two same-seed runs — serial, sharded and
+        merged, cached, retried, telemetry on or off — must serialize to
+        byte-identical JSON.  The campaign aggregates compare exactly
+        this.
         """
         data = self.as_dict()
         data["spans"] = {

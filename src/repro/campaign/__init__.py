@@ -12,9 +12,9 @@ to re-run:
   :class:`~repro.attacks.trial.TrialBatch` under its content hash in
   sharded JSONL with atomic writes; lookup *is* the cache policy.
 * :class:`CampaignRunner` (:mod:`repro.campaign.runner`) drives a spec to
-  completion: cache hits served from the store, misses fanned across
-  workers with per-cell fault isolation and capped-backoff retries,
-  successes persisted immediately so an interrupted campaign resumes
+  completion: cache hits served from the store, misses run in-process
+  with per-cell fault isolation and capped-backoff retries, successes
+  persisted immediately so an interrupted campaign resumes
   exactly where it stopped.
 * :data:`BUILTIN_CAMPAIGNS` (:mod:`repro.campaign.builtin`) mirrors the
   paper's grids: ``revng-table1``, ``attacks-vs-noise``,

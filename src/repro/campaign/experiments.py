@@ -122,7 +122,7 @@ def defense_applier(defense: str) -> Callable[["Machine"], None] | None:
 
 
 def run_cell(cell: CampaignCell) -> TrialBatch:
-    """Execute one campaign cell (the worker entry point).
+    """Execute one campaign cell (the runner's default cell function).
 
     The returned batch carries the cell's content-only coordinates in
     ``notes["campaign_cell"]`` so a stored artifact is self-describing.

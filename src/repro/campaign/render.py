@@ -59,7 +59,7 @@ def render_result(result: CampaignResult) -> str:
     summary = (
         f"{len(result.outcomes)} cells{scope}: {result.cached_count} cached, "
         f"{result.executed_count} executed, {len(result.failed)} failed "
-        f"(jobs={result.jobs}, wall {result.wall_seconds:.2f}s)"
+        f"(wall {result.wall_seconds:.2f}s)"
     )
     lines = [table, summary]
     for outcome in result.failed:
@@ -79,10 +79,8 @@ def render_time_went(result: CampaignResult) -> list[str]:
         "",
         "### Where the time went",
         "",
-        f"{len(timeline.records)} dispatches over jobs={timeline.jobs}, wall "
-        f"{timeline.wall_seconds:.2f}s, worker utilization "
-        f"{timeline.utilization() * 100:.0f}%, attribution coverage "
-        f"{attribution['coverage'] * 100:.1f}%.",
+        f"{len(timeline.records)} cell attempts, wall {timeline.wall_seconds:.2f}s, "
+        f"attribution coverage {attribution['coverage'] * 100:.1f}%.",
         "",
         "| bucket | seconds | share |",
         "| --- | ---: | ---: |",
@@ -91,13 +89,10 @@ def render_time_went(result: CampaignResult) -> list[str]:
         lines.append(
             f"| {name} | {entry['seconds']:.3f} | {entry['share'] * 100:.1f}% |"
         )
-    totals = timeline.totals()
-    lines += [
-        "",
-        f"Payloads: {totals['request_bytes'] / 1024:.1f} KiB dispatched, "
-        f"{totals['result_bytes'] / 1024:.1f} KiB returned; dominant overhead "
-        f"bucket (non-compute): `{timeline.dominant_overhead()}`.",
-    ]
+    lines += ["", f"Dominant overhead bucket (not cells): `{timeline.dominant_overhead()}`."]
+    slowest = timeline.slowest()
+    if slowest is not None:
+        lines.append(f"Slowest cell: `{slowest.label}` ({slowest.seconds:.3f}s).")
     return lines
 
 

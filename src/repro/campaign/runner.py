@@ -1,4 +1,4 @@
-"""The resumable campaign runner: cache, fan out, retry, persist.
+"""The resumable campaign runner: cache, execute, retry, persist.
 
 The runner is the one way to run trials: ``afterimage campaign run``,
 ``afterimage run`` and ``afterimage perf`` (each a one-axis spec over a
@@ -9,10 +9,11 @@ temporary store) all come through it.  It makes a campaign *complete*:
    building a machine.  A finished campaign therefore re-runs with zero
    executions, and an interrupted one picks up exactly where it stopped —
    resumption is a property of the store, not of any runner state.
-2. **Per-cell fault isolation.**  Pending cells are dispatched through a
-   worker pool (or in-process for ``jobs=1``) behind a wrapper that turns
-   a raising worker into an error value; one bad cell cannot abort the
-   sweep or discard its siblings.
+2. **Per-cell fault isolation.**  Pending cells run one after another
+   in this process behind a wrapper that turns a raising cell into an
+   error value; one bad cell cannot abort the sweep or discard its
+   siblings.  Parallel fill is ``--shard i/N`` runs into separate stores
+   plus ``campaign merge`` (:mod:`repro.fleet`).
 3. **Capped-backoff retries.**  Failed cells are collected and re-executed
    as a group, up to ``max_attempts`` rounds, sleeping
    ``backoff_seconds * 2**(round-1)`` (capped at ``backoff_cap_seconds``)
@@ -20,8 +21,9 @@ temporary store) all come through it.  It makes a campaign *complete*:
    transient crash heals to the *identical* batch an undisturbed run
    produces — aggregates stay byte-for-byte stable.
 4. **Persist successes immediately.**  Each successful batch is written
-   to the store before the next retry round, so even a campaign that
-   ultimately fails leaves everything it completed on disk.
+   to the store as soon as its cell finishes, so even a campaign that
+   is interrupted or ultimately fails leaves everything it completed on
+   disk.
 
 Cells that still fail after the last round are reported as error
 outcomes — recorded, not raised — and stay pending for the next
@@ -30,20 +32,18 @@ invocation.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback
-from contextlib import nullcontext
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import partial
 from time import perf_counter  # repro: noqa[RL003] — campaign measures host wall-clock
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.attacks.trial import TrialBatch
 from repro.campaign.experiments import check_experiments, run_cell
 from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.campaign.store import TrialStore
-from repro.obs.telemetry import TelemetryCollector, TelemetryEnvelope, Timeline, capture_worker
+from repro.obs.telemetry import Timeline
 
 if TYPE_CHECKING:
     from repro.fleet.partition import Shard
@@ -90,7 +90,6 @@ class CampaignResult:
     spec: CampaignSpec
     outcomes: list[CellOutcome]
     wall_seconds: float
-    jobs: int
     telemetry: Timeline | None = None
     #: ``"i/n"`` when this invocation ran one fleet shard, else None.
     shard: str | None = None
@@ -122,7 +121,7 @@ class CampaignResult:
         order — the cell carries the axis so renderers can reason about
         defenses.  Aggregates are recomputed from the union of trials by
         :meth:`TrialBatch.merge`, so they are identical whether the
-        batches came from workers or from the store.
+        batches were just executed or came from the store.
         """
         grouped: dict[str, tuple[CampaignCell, list[TrialBatch]]] = {}
         for outcome in self.outcomes:
@@ -148,9 +147,9 @@ class CampaignResult:
         Everything in a batch is derived from the cell's seed except the
         host ``wall_seconds`` in its span profile, so that field is
         stripped (via :meth:`TrialBatch.wall_clock_free_dict`): cached,
-        re-executed, retried-after-a-crash and pooled runs of the same
-        spec all serialize to byte-identical aggregates (the CI smoke job
-        asserts exactly this).
+        re-executed, retried-after-a-crash and sharded-then-merged runs of
+        the same spec all serialize to byte-identical aggregates (the CI
+        smoke jobs assert exactly this).
         """
         return {
             label: batch.wall_clock_free_dict()
@@ -166,7 +165,6 @@ class CampaignResult:
             "executed": self.executed_count,
             "failed": len(self.failed),
             "complete": self.complete,
-            "jobs": self.jobs,
             "wall_seconds": self.wall_seconds,
             "outcomes": [outcome.as_dict() for outcome in self.outcomes],
             "aggregates": self.aggregates(),
@@ -231,29 +229,20 @@ def campaign_status(
 
 def _call_safely(
     fn: RunCellFn, cell: CampaignCell
-) -> tuple[str, TrialBatch | None, str | None]:
-    """Worker wrapper: (key, batch, error) — never raises across the pool."""
+) -> tuple[TrialBatch | None, str | None]:
+    """Cell wrapper: (batch, error) — a raising cell becomes an error value."""
     try:
-        return cell.key, fn(cell), None
+        return fn(cell), None
     except Exception:
-        return cell.key, None, traceback.format_exc()
-
-
-def _call_safely_telemetry(fn: RunCellFn, cell: CampaignCell) -> TelemetryEnvelope:
-    """:func:`_call_safely` with worker-side telemetry piggy-backed on it.
-
-    Module-level (and built from picklable pieces) so it crosses the pool
-    boundary like the plain wrapper does.
-    """
-    return capture_worker(partial(_call_safely, fn), cell)
+        return None, traceback.format_exc()
 
 
 class CampaignRunner:
     """Drive a :class:`CampaignSpec` to completion against a store.
 
     ``run_cell_fn`` exists for fault-injection tests (and any caller that
-    wants to wrap execution); with ``jobs > 1`` it must be picklable —
-    i.e. a module-level function — because it crosses the pool boundary.
+    wants to wrap execution).  ``jobs`` accepts only 1, the in-process
+    path; a parallel fill is ``--shard i/N`` runs plus ``campaign merge``.
     """
 
     def __init__(
@@ -266,14 +255,16 @@ class CampaignRunner:
         run_cell_fn: RunCellFn | None = None,
         telemetry: bool = False,
     ) -> None:
-        if jobs <= 0:
-            raise ValueError(f"jobs must be positive, got {jobs}")
+        if jobs != 1:
+            raise ValueError(
+                f"jobs must be 1, got {jobs}: cells run in-process; fill in "
+                "parallel with `campaign run --shard i/N` workers and `campaign merge`"
+            )
         if max_attempts <= 0:
             raise ValueError(f"max_attempts must be positive, got {max_attempts}")
         if backoff_seconds < 0 or backoff_cap_seconds < 0:
             raise ValueError("backoff durations must be non-negative")
         self.store = store
-        self.jobs = jobs
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
         self.backoff_cap_seconds = backoff_cap_seconds
@@ -293,11 +284,12 @@ class CampaignRunner:
         start = perf_counter()
         check_experiments(spec)
         cells = partition_cells(spec.cells(), shard)
-        collector = TelemetryCollector(jobs=self.jobs) if self.telemetry else None
+        timeline = Timeline()
         outcomes: dict[str, CellOutcome] = {}
         pending: list[CampaignCell] = []
         for cell in cells:
-            batch = self.store.get(cell.key)
+            with timeline.timing("store"):
+                batch = self.store.get(cell.key)
             if batch is not None:
                 outcomes[cell.key] = CellOutcome(cell=cell, batch=batch, cached=True)
             else:
@@ -309,12 +301,14 @@ class CampaignRunner:
             if not pending:
                 break
             if round_number > 1:
-                self._backoff(round_number - 1)
+                with timeline.timing("backoff"):
+                    self._backoff(round_number - 1)
             still_failing: list[CampaignCell] = []
-            for cell, batch, error in self._execute(pending, collector):
+            for cell, batch, error in self._execute(pending, timeline):
                 attempts[cell.key] = attempts.get(cell.key, 0) + 1
                 if batch is not None:
-                    self.store.put(cell.key, batch)
+                    with timeline.timing("store"):
+                        self.store.put(cell.key, batch)
                     errors.pop(cell.key, None)
                     outcomes[cell.key] = CellOutcome(
                         cell=cell,
@@ -335,15 +329,12 @@ class CampaignRunner:
                 attempts=attempts.get(cell.key, 0),
                 error=errors.get(cell.key),
             )
-        wall = perf_counter() - start
+        timeline.wall_seconds = perf_counter() - start
         return CampaignResult(
             spec=spec,
             outcomes=[outcomes[cell.key] for cell in cells],
-            wall_seconds=wall,
-            jobs=self.jobs,
-            telemetry=(
-                collector.finish(wall_seconds=wall) if collector is not None else None
-            ),
+            wall_seconds=timeline.wall_seconds,
+            telemetry=timeline if self.telemetry else None,
             shard=str(shard) if shard else None,
         )
 
@@ -363,49 +354,15 @@ class CampaignRunner:
             time.sleep(delay)
 
     def _execute(
-        self,
-        cells: Sequence[CampaignCell],
-        collector: TelemetryCollector | None = None,
-    ) -> list[tuple[CampaignCell, TrialBatch | None, str | None]]:
+        self, cells: list[CampaignCell], timeline: Timeline
+    ) -> Iterator[tuple[CampaignCell, TrialBatch | None, str | None]]:
         """One execution round: every cell once, in order, never raising.
 
-        ``jobs=1`` (or a single cell) maps the worker in-process; otherwise
-        ``imap`` (order-preserving, yielding as results land, so each
-        receive gets a true timestamp) maps it across a pool.  With a
-        collector the worker also ships back its telemetry; indices
-        continue across retry rounds, so a healed campaign's timeline
-        shows every attempt as its own record.
+        Each attempt's host seconds go to ``timeline``, so a healed
+        campaign's timeline shows every attempt as its own record.
         """
-        worker = partial(
-            _call_safely if collector is None else _call_safely_telemetry,
-            self.run_cell_fn,
-        )
-        base = 0
-        if collector is not None:
-            base = len(collector.records)
-            for offset, cell in enumerate(cells):
-                collector.add_request(base + offset, cell.label, cell)
-        n_workers = min(self.jobs, len(cells))
-        with (_pool(n_workers) if n_workers > 1 else nullcontext()) as pool:
-            if collector is not None:
-                collector.window_begin()
-            results = map(worker, cells) if pool is None else pool.imap(worker, cells)
-            raw = [
-                result if collector is None else collector.receive(base + offset, result)
-                for offset, result in enumerate(results)
-            ]
-            if collector is not None:
-                collector.window_end()
-        if collector is not None:
-            collector.measure_results(raw, start=base)
-        by_key = {cell.key: cell for cell in cells}
-        return [(by_key[key], batch, error) for key, batch, error in raw]
-
-
-def _pool(processes: int) -> "multiprocessing.pool.Pool":
-    """A worker pool: ``fork`` where the platform has it, else ``spawn``."""
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # platform without fork (e.g. Windows)
-        context = multiprocessing.get_context("spawn")
-    return context.Pool(processes=processes)
+        for cell in cells:
+            began = perf_counter()
+            batch, error = _call_safely(self.run_cell_fn, cell)
+            timeline.add_cell(cell.label, perf_counter() - began, ok=batch is not None)
+            yield cell, batch, error

@@ -9,8 +9,8 @@ concrete :class:`CampaignCell`\\ s, each carrying
 * the fully resolved :class:`~repro.params.MachineParams` (preset with the
   axis's noise overrides applied),
 * a derived seed, mixed with :func:`~repro.utils.rng.stable_seed` from the
-  cell coordinates so dispatch order and worker scheduling cannot change
-  any stream, and
+  cell coordinates so run order and fleet sharding cannot change any
+  stream, and
 * a **content hash** (:attr:`CampaignCell.key`): SHA-256 over the fields
   that determine the cell's result — experiment name, rounds, options,
   defense, the machine-params fingerprint, and the derived seed.

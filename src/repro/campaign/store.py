@@ -21,8 +21,9 @@ Durability discipline:
 * **Atomic replace.**  A shard is never appended in place; writes rewrite
   the shard to a tmp file in the same directory and ``os.replace`` it, so
   a killed writer leaves either the old shard or the new one, never a
-  half-written line.  The store is single-writer by design (the campaign
-  runner persists from the parent process only; workers return batches).
+  half-written line.  The store is single-writer by design: one runner
+  writes it, and fleet workers each fill their own store for
+  ``campaign merge``.
 * **Corruption tolerance.**  A truncated or garbled line — the classic
   power-loss artifact append-mode JSONL suffers — is counted, skipped,
   and dropped on the next rewrite of its shard.  The affected cell simply

@@ -12,26 +12,28 @@ Installed as the ``afterimage`` console script::
     afterimage metrics switch-leak --format json
     afterimage run variant1 --rounds 200
     afterimage run rsa --format json
-    afterimage run --suite --jobs 4
+    afterimage run --suite
     afterimage campaign list
     afterimage campaign run rsa-128.toml
-    afterimage campaign run attacks-vs-noise --jobs 4
+    afterimage campaign run attacks-vs-noise
     afterimage campaign run attacks-vs-noise --shard 0/2 --store worker-a
     afterimage campaign merge worker-a worker-b --store merged
     afterimage campaign status defense-matrix
     afterimage campaign report revng-table1 -o campaign.md
     afterimage campaign aggregate attacks-vs-noise --store merged
-    afterimage perf --suite --jobs 2 --format json
+    afterimage perf --suite --format json
 
 The figure and table subcommands print their series like the benchmark
 suite, but without pytest in the loop.  Every attack in the
 :mod:`repro.attacks` registry runs one way: ``run <attack>`` (or
 ``--suite``) drives it as a one-axis campaign through
-:class:`~repro.campaign.CampaignRunner`, optionally fanned across
-``--jobs`` workers, and ``perf`` does the same with the runner's
-telemetry on.  An attack's knobs (covert ``entries``, rsa ``bits``,
-tracker ``target``, ...) are keyword options of its scenario factory,
-set through a spec's ``[options.<attack>]`` table and ``campaign run``.
+:class:`~repro.campaign.CampaignRunner`, and ``perf`` does the same with
+the runner's telemetry on.  A grid fills in parallel as ``campaign run
+--shard i/N`` workers plus ``campaign merge``.  An attack's knobs (covert
+``entries``, rsa ``bits``, tracker ``target``, ...) are keyword options
+of its scenario factory, set through a spec's ``[options.<attack>]``
+table and ``campaign run``.  ``lint`` and ``leakcheck`` hand their
+arguments to ``repro.lint`` and ``repro.leakcheck`` unchanged.
 """
 
 from __future__ import annotations
@@ -189,20 +191,10 @@ def cmd_run(params: MachineParams, args: argparse.Namespace) -> None:
         base_seed=args.seed,
     )
     with tempfile.TemporaryDirectory(prefix="afterimage-run-") as store_dir:
-        runner = CampaignRunner(
-            TrialStore(store_dir), jobs=args.jobs, telemetry=args.command == "perf"
-        )
+        runner = CampaignRunner(TrialStore(store_dir), telemetry=args.command == "perf")
         result = runner.run(spec)
     if args.format == "json":
         print(json.dumps(result.as_dict(), indent=2))
-    elif args.format == "trace":
-        timeline = result.telemetry
-        assert timeline is not None
-        timeline.write_chrome(args.out)
-        print(
-            f"wrote {args.out}: {len(timeline.records)} tasks across "
-            f"{len(timeline.lanes())} lanes, wall {timeline.wall_seconds:.2f}s"
-        )
     else:
         print(render_result(result))
     if not result.complete:
@@ -346,23 +338,16 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-    runner = CampaignRunner(
-        store,
-        jobs=args.jobs,
-        max_attempts=args.max_attempts,
-        telemetry=args.telemetry,
-    )
+    runner = CampaignRunner(store, max_attempts=args.max_attempts, telemetry=args.telemetry)
     result = runner.run(spec, shard=shard)
     if args.telemetry and args.action == "run" and result.telemetry is not None:
         import os
 
         timeline_path = os.path.join(args.store, "telemetry.json")
-        trace_path = os.path.join(args.store, "telemetry.trace.json")
         with open(timeline_path, "w") as handle:
             json.dump(result.telemetry.as_dict(), handle, indent=2)
             handle.write("\n")
-        result.telemetry.write_chrome(trace_path)
-        print(f"wrote {timeline_path} and {trace_path}")
+        print(f"wrote {timeline_path}")
     if args.action == "aggregate":
         from repro.campaign import canonical_json
 
@@ -431,7 +416,7 @@ def cmd_metrics(params: MachineParams, args: argparse.Namespace) -> None:
     print()
     print(registry.render_text())
     print()
-    print(machine.profile.render_text())
+    print(machine.profile.render_text(machine.cycles))
 
 
 _COMMANDS: dict[str, tuple[Callable, str]] = {
@@ -444,8 +429,8 @@ _COMMANDS: dict[str, tuple[Callable, str]] = {
     "report": (cmd_report, "Run headline experiments, emit a markdown report"),
     "trace": (cmd_trace, "Run an attack with tracing, write a Chrome trace_event file"),
     "metrics": (cmd_metrics, "Run an attack, dump the machine's metrics registry"),
-    "run": (cmd_run, "Run any registered attack (or --suite) across --jobs workers"),
-    "perf": (cmd_run, "Like run, plus the runner's worker timeline + overhead attribution"),
+    "run": (cmd_run, "Run any registered attack (or --suite) through the campaign runner"),
+    "perf": (cmd_run, "Like run, plus the runner's per-cell timeline + wall attribution"),
 }
 
 
@@ -471,40 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=2023)
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("list", help="list available experiments")
-    lint = sub.add_parser("lint", help="static-analysis pass (repro.lint) over the tree")
-    lint.add_argument("paths", nargs="*", default=["src"])
-    lint.add_argument("--format", choices=("text", "json"), default="text")
-    lint.add_argument("--select", default=None, help="comma-separated rule ids (e.g. RL001,RL006)")
-    lint.add_argument(
-        "--flow",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="CFG/dataflow pass: RL014-RL017 plus alias-aware RL001/RL003/RL008",
-    )
-    lint.add_argument("--changed", action="store_true", help="lint only files changed vs HEAD")
-    lint.add_argument("--list-rules", action="store_true")
-    leakcheck = sub.add_parser(
-        "leakcheck", help="static AfterImage-leakage analysis (repro.leakcheck)"
-    )
-    leakcheck.add_argument("victims", nargs="*")
-    leakcheck.add_argument(
-        "--defense", choices=("none", "tagged", "flush-on-switch", "oblivious"), default="none"
-    )
-    leakcheck.add_argument("--format", choices=("text", "json"), default="text")
-    leakcheck.add_argument("--list-victims", action="store_true")
-    leakcheck.add_argument("--suite", action="store_true")
-    leakcheck.add_argument(
-        "--extract",
-        nargs="+",
-        metavar="FILE",
-        help="statically compile and analyze candidate functions in files",
-    )
-    leakcheck.add_argument(
-        "--scan",
-        nargs="+",
-        metavar="PATH",
-        help="recursively extract and analyze every candidate under paths",
-    )
+    # `lint` and `leakcheck` take no machine model: their arguments go to
+    # repro.lint / repro.leakcheck unparsed (no prefix char, so `--format`
+    # and `--help` land in the remainder too).
+    for name, help_text in (
+        ("lint", "static-analysis pass (repro.lint) over the tree"),
+        ("leakcheck", "static AfterImage-leakage analysis (repro.leakcheck)"),
+    ):
+        forward = sub.add_parser(name, help=help_text, add_help=False, prefix_chars="\0")
+        forward.add_argument("args", nargs=argparse.REMAINDER)
     campaign = sub.add_parser(
         "campaign",
         help=(
@@ -536,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="I/N",
         help="fleet fill: run/status only this worker's slice of the cells",
     )
-    campaign.add_argument("--jobs", type=_positive_int, default=1)
     campaign.add_argument("--max-attempts", type=_positive_int, default=3)
     campaign.add_argument(
         "--rounds", type=_positive_int, default=None, help="override spec rounds"
@@ -555,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--telemetry",
         action="store_true",
-        help="collect cross-process telemetry; `run` writes a timeline next to the store",
+        help="collect the runner's timeline; `run` writes telemetry.json into the store",
     )
     for name, (_fn, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
@@ -572,27 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--out", default="run.trace.json")
         if name == "metrics":
             cmd.add_argument("--format", choices=("text", "json"), default="text")
-        if name == "run":
+        if name in ("run", "perf"):
             cmd.add_argument("attack", nargs="?", default=None, choices=attack_names())
             cmd.add_argument("--suite", action="store_true")
             cmd.add_argument("--rounds", type=_positive_int, default=None)
-            cmd.add_argument("--jobs", type=_positive_int, default=1)
             cmd.add_argument("--repeats", type=_positive_int, default=1)
             cmd.add_argument("--format", choices=("text", "json"), default="text")
-        if name == "perf":
-            cmd.add_argument("attack", nargs="?", default=None, choices=attack_names())
-            cmd.add_argument("--suite", action="store_true")
-            cmd.add_argument("--rounds", type=_positive_int, default=None)
-            cmd.add_argument("--jobs", type=_positive_int, default=2)
-            cmd.add_argument("--repeats", type=_positive_int, default=1)
-            cmd.add_argument(
-                "--format", choices=("text", "json", "trace"), default="text"
-            )
-            cmd.add_argument(
-                "--out",
-                default="perf.trace.json",
-                help="Chrome trace output path for --format trace",
-            )
     return parser
 
 
@@ -606,37 +550,16 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(f"{'run ' + spec.name:20s} {spec.description}")
             return 0
         if args.command == "lint":
-            # The linter takes no machine model; dispatch before preset lookup.
             from repro.lint.cli import main as lint_main
 
-            lint_argv = list(args.paths) + ["--format", args.format]
-            if args.select:
-                lint_argv += ["--select", args.select]
-            lint_argv.append("--flow" if args.flow else "--no-flow")
-            if args.changed:
-                lint_argv.append("--changed")
-            if args.list_rules:
-                lint_argv.append("--list-rules")
-            return lint_main(lint_argv)
+            return lint_main(args.args)
+        if args.command == "leakcheck":
+            from repro.leakcheck.cli import main as leakcheck_main
+
+            return leakcheck_main(args.args)
         if args.command == "campaign":
             # Campaign specs declare their own machines; early dispatch.
             return cmd_campaign(args)
-        if args.command == "leakcheck":
-            # Pure static analysis, no machine model; same early dispatch.
-            from repro.leakcheck.cli import main as leakcheck_main
-
-            leakcheck_argv = list(args.victims) + ["--format", args.format]
-            if args.defense != "none":
-                leakcheck_argv += ["--defense", args.defense]
-            if args.list_victims:
-                leakcheck_argv.append("--list-victims")
-            if args.suite:
-                leakcheck_argv.append("--suite")
-            if args.extract:
-                leakcheck_argv += ["--extract", *args.extract]
-            if args.scan:
-                leakcheck_argv += ["--scan", *args.scan]
-            return leakcheck_main(leakcheck_argv)
         params = preset(args.machine)
         _COMMANDS[args.command][0](params, args)
     except BrokenPipeError:  # e.g. `afterimage fig06 | head`

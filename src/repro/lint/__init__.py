@@ -11,9 +11,9 @@ allocation-lean.  ``repro.lint`` enforces those conventions over the AST.
 Beyond the single-node syntactic rules, :mod:`repro.lint.flow` adds an
 intraprocedural CFG + fixpoint dataflow layer (on by default; disable
 with ``--no-flow``): taint tracking from nondeterminism sources into
-trial/seed/trace sinks (RL014/RL015), fork-safety checks on worker-pool
-dispatch (RL016/RL017), alias-aware upgrades of RL001/RL003/RL008, and
-dead-branch suppression of their false positives.
+trial/seed/trace sinks (RL014/RL015), span/sink pairing (RL018),
+alias-aware upgrades of RL001/RL003/RL008, and dead-branch suppression
+of their false positives.
 
 Usage::
 

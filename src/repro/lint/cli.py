@@ -71,8 +71,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--flow",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="run the CFG/dataflow pass: flow rules RL014-RL017, alias-aware "
-        "RL001/RL003/RL008, dead-branch filtering (default: on)",
+        help="run the CFG/dataflow pass: flow rules RL014, RL015 and RL018, "
+        "alias-aware RL001/RL003/RL008, dead-branch filtering (default: on)",
     )
     parser.add_argument(
         "--changed",

@@ -10,26 +10,20 @@ flow layer adds the machinery to reason about *values in motion*:
 * :mod:`repro.lint.flow.solver` — a generic forward worklist fixpoint
   solver plus the classic reaching-definitions analysis;
 * :mod:`repro.lint.flow.taint` — a label-propagation taint analysis used
-  by the determinism (RL014/RL015) and fork-safety (RL017) checkers and
-  by the flow-aware alias upgrades of RL001/RL003/RL008;
+  by the determinism checkers (RL014/RL015) and by the flow-aware alias
+  upgrades of RL001/RL003/RL008;
 * :mod:`repro.lint.flow.context` — :class:`FlowContext`, the per-file
   cache of scopes, CFGs and taint fixpoints every flow rule shares;
-* :mod:`repro.lint.flow.callgraph` — module-local name-based call graphs,
-  shared between RL016's worker closure and the ``leakcheck.extract``
-  interprocedural inliner;
-* :mod:`repro.lint.flow.rules` — the flow rules RL014–RL017.
+* :mod:`repro.lint.flow.callgraph` — the module-local name-based call
+  graph the ``leakcheck.extract`` interprocedural inliner walks;
+* :mod:`repro.lint.flow.rules` — the flow rules RL014, RL015 and RL018.
 
 See ``docs/LINT.md`` ("Flow-aware analysis") for the architecture.
 """
 
 from __future__ import annotations
 
-from repro.lint.flow.callgraph import (
-    closure_defs,
-    function_defs,
-    module_functions,
-    reachable_from,
-)
+from repro.lint.flow.callgraph import closure_defs, function_defs
 from repro.lint.flow.cfg import CFG, BasicBlock, build_cfg, unreachable_lines
 from repro.lint.flow.context import FlowContext, Scope
 from repro.lint.flow.solver import ReachingDefinitions, solve_forward
@@ -38,8 +32,6 @@ from repro.lint.flow.taint import (
     KIND_ALIAS_HASH,
     KIND_ALIAS_WALLCLOCK,
     KIND_ID,
-    KIND_OPEN_HANDLE,
-    KIND_LOCK,
     KIND_SET_ORDER,
     KIND_UNSEEDED_RNG,
     KIND_URANDOM,
@@ -63,8 +55,6 @@ __all__ = [
     "KIND_ALIAS_HASH",
     "KIND_ALIAS_WALLCLOCK",
     "KIND_ID",
-    "KIND_LOCK",
-    "KIND_OPEN_HANDLE",
     "KIND_SET_ORDER",
     "KIND_UNSEEDED_RNG",
     "KIND_URANDOM",
@@ -75,8 +65,6 @@ __all__ = [
     "build_cfg",
     "closure_defs",
     "function_defs",
-    "module_functions",
-    "reachable_from",
     "solve_forward",
     "taint_of",
     "unreachable_lines",

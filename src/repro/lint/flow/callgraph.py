@@ -1,18 +1,10 @@
-"""Module-local call graphs, shared by the flow rules and ``leakcheck.extract``.
+"""The module-local call graph the ``leakcheck.extract`` inliner walks.
 
-Two consumers need the same approximation of "which functions in this
-module can this function reach by calling":
-
-* RL016 (:mod:`repro.lint.flow.rules`) walks the closure of a
-  pool-dispatched worker callable over *bare-name* calls to decide which
-  module globals the worker can touch;
-* the static victim front-end (:mod:`repro.leakcheck.extract`) inlines
-  callee bodies at call sites, where method calls (``self._helper(...)``)
-  must resolve too, so its closure also follows *attribute-call names*.
-
-Both shapes live here so the two passes cannot drift: the graph is always
-name-based (no type inference), always module-local (imports are opaque),
-and deterministic (closures are discovered in call-site order).
+The static victim front-end (:mod:`repro.leakcheck.extract`) inlines
+callee bodies at call sites, where method calls (``self._helper(...)``)
+must resolve as well as bare ones.  The graph is name-based (no type
+inference), module-local (imports are opaque), and deterministic
+(closures are discovered in call-site order).
 """
 
 from __future__ import annotations
@@ -23,15 +15,6 @@ from repro.lint.flow.taint import dotted
 
 #: The AST nodes that define a function body.
 FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def module_functions(
-    tree: ast.Module,
-) -> dict[str, ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Module-*level* function definitions, by name (methods excluded)."""
-    return {
-        stmt.name: stmt for stmt in tree.body if isinstance(stmt, FUNC_NODES)
-    }
 
 
 def function_defs(
@@ -51,48 +34,17 @@ def function_defs(
     return defs
 
 
-def called_names(func: ast.AST, *, attr_calls: bool = False) -> list[str]:
-    """Bare names this body calls, in source order.
-
-    With ``attr_calls`` the last element of attribute-call chains counts
-    too (``self._helper()`` contributes ``_helper``) — the liberal
-    resolution the extractor's inliner uses.  Without it, only direct
-    ``name(...)`` calls count — RL016's conservative worker closure.
-    """
+def called_names(func: ast.AST) -> list[str]:
+    """Names this body calls, in source order: a bare ``name(...)`` call
+    and the last element of an attribute-call chain (``self._helper()``
+    contributes ``_helper``) alike."""
     names: list[str] = []
     for node in ast.walk(func):
-        if not isinstance(node, ast.Call):
-            continue
-        chain = dotted(node.func)
-        if chain is None:
-            continue
-        if len(chain) == 1 or attr_calls:
-            names.append(chain[-1])
+        if isinstance(node, ast.Call):
+            chain = dotted(node.func)
+            if chain is not None:
+                names.append(chain[-1])
     return names
-
-
-def reachable_from(
-    module_funcs: dict[str, ast.FunctionDef | ast.AsyncFunctionDef],
-    roots: dict[str, int],
-) -> dict[str, tuple[str, int]]:
-    """RL016's worker closure: function name → (dispatch root, root line).
-
-    Starting from ``roots`` (dispatched callable name → dispatch line),
-    follow bare-name calls into other module-level functions.  The
-    traversal order (depth-first, first root wins) is part of the rule's
-    observable output ordering and is kept stable here.
-    """
-    reached: dict[str, tuple[str, int]] = {}
-    frontier = [(name, name, line) for name, line in roots.items()]
-    while frontier:
-        name, root, line = frontier.pop()
-        if name in reached:
-            continue
-        reached[name] = (root, line)
-        for callee in called_names(module_funcs[name]):
-            if callee in module_funcs:
-                frontier.append((callee, root, line))
-    return reached
 
 
 def closure_defs(
@@ -112,7 +64,7 @@ def closure_defs(
     queue = [root]
     while queue:
         current = queue.pop(0)
-        for name in called_names(current, attr_calls=True):
+        for name in called_names(current):
             for candidate in defs.get(name, []):
                 if id(candidate) not in seen:
                     seen.add(id(candidate))

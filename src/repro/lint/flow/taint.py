@@ -6,23 +6,19 @@ pair.  :func:`taint_of` evaluates an expression under an environment and
 returns the labels of its value; :class:`TaintAnalysis` is the forward
 analysis that pushes environments through a scope's CFG.
 
-Two families of label kinds:
-
-* **determinism kinds** — wall-clock reads, unseeded RNG draws, ``id()``,
-  OS entropy (``os.urandom``/``secrets``/``uuid.uuid4``), and set
-  iteration order.  These propagate *broadly*: through arithmetic,
-  containers, attribute access and calls (``rng.integers(...)`` on a
-  tainted generator yields a tainted draw).  ``sorted(...)`` strips the
-  set-order kind — ordering is exactly what it repairs.
-* **resource kinds** — open file handles and locks, tracked for the
-  fork-safety checker.  These propagate only through *aliasing* shapes
-  (plain name binding, containers, conditionals): the bytes read *from*
-  a file are not a file handle, so calls and attribute access drop them.
+The **determinism kinds** — wall-clock reads, unseeded RNG draws,
+``id()``, OS entropy (``os.urandom``/``secrets``/``uuid.uuid4``), and set
+iteration order — propagate *broadly*: through arithmetic, containers,
+attribute access and calls (``rng.integers(...)`` on a tainted generator
+yields a tainted draw).  ``sorted(...)`` strips the set-order kind —
+ordering is exactly what it repairs.
 
 Two extra alias kinds power the flow-aware RL003/RL008 upgrades: a bare
 (uncalled) reference to ``time.perf_counter`` or builtin ``hash`` labels
 the name it lands in, and calling through that alias is then flagged by
-the syntactic rule's flow extension.
+the syntactic rule's flow extension.  They propagate only through
+aliasing shapes (plain name binding, containers, conditionals): a call's
+result or an attribute of the alias is not the function itself.
 """
 
 from __future__ import annotations
@@ -41,8 +37,6 @@ KIND_UNSEEDED_RNG = "unseeded-rng"
 KIND_ID = "id()"
 KIND_URANDOM = "os-entropy"
 KIND_SET_ORDER = "set-order"
-KIND_OPEN_HANDLE = "open-handle"
-KIND_LOCK = "lock"
 KIND_ALIAS_WALLCLOCK = "alias:wall-clock-fn"
 KIND_ALIAS_HASH = "alias:hash-fn"
 
@@ -50,8 +44,6 @@ KIND_ALIAS_HASH = "alias:hash-fn"
 DETERMINISM_KINDS = frozenset(
     {KIND_WALLCLOCK, KIND_UNSEEDED_RNG, KIND_ID, KIND_URANDOM, KIND_SET_ORDER}
 )
-#: Kinds naming process-local resources that must not cross a fork/pickle.
-RESOURCE_KINDS = frozenset({KIND_OPEN_HANDLE, KIND_LOCK})
 #: Function-alias kinds (flow-aware RL003/RL008).
 ALIAS_KINDS = frozenset({KIND_ALIAS_WALLCLOCK, KIND_ALIAS_HASH})
 
@@ -70,9 +62,6 @@ _WALLCLOCK_FNS = frozenset(
 #: Wall-clock functions unambiguous even as bare names (``from time
 #: import perf_counter``); bare ``time`` is excluded — too common a local.
 _BARE_WALLCLOCK_FNS = _WALLCLOCK_FNS - {"time"}
-_LOCK_CTORS = frozenset(
-    {"Lock", "RLock", "Semaphore", "BoundedSemaphore", "Condition", "Barrier"}
-)
 
 
 def dotted(node: ast.AST) -> tuple[str, ...] | None:
@@ -115,12 +104,6 @@ def _source_kinds(node: ast.Call) -> list[str]:
         kinds.append(KIND_ID)
     elif name in ("set", "frozenset") and len(chain) == 1:
         kinds.append(KIND_SET_ORDER)
-    elif name == "open" and (len(chain) == 1 or chain[0] in ("io", "gzip", "bz2", "lzma")):
-        kinds.append(KIND_OPEN_HANDLE)
-    elif name in _LOCK_CTORS and (
-        len(chain) == 1 or chain[0] in ("threading", "multiprocessing", "mp")
-    ):
-        kinds.append(KIND_LOCK)
     return kinds
 
 
@@ -170,9 +153,9 @@ def taint_of(node: ast.expr | None, env: Env) -> frozenset[Label]:
         name = chain[-1] if chain else None
         if name == "sorted":
             labels = _strip(labels, frozenset({KIND_SET_ORDER}))
-        # A call's result is data, not the resource itself.
-        labels = _strip(labels | func_labels, RESOURCE_KINDS | ALIAS_KINDS)
-        # ...unless the call *is* a resource/nondeterminism source.
+        # A call's result is data, not the function alias itself.
+        labels = _strip(labels | func_labels, ALIAS_KINDS)
+        # ...unless the call *is* a nondeterminism source.
         labels |= frozenset((kind, line) for kind in _source_kinds(node))
         # Calling through an alias of a wall-clock function reads the clock.
         if any(kind == KIND_ALIAS_WALLCLOCK for kind, _line in func_labels):
@@ -182,7 +165,7 @@ def taint_of(node: ast.expr | None, env: Env) -> frozenset[Label]:
         ref = _reference_labels(node)
         if ref:
             return ref
-        return _strip(taint_of(node.value, env), RESOURCE_KINDS | ALIAS_KINDS)
+        return _strip(taint_of(node.value, env), ALIAS_KINDS)
     if isinstance(node, (ast.BinOp,)):
         return taint_of(node.left, env) | taint_of(node.right, env)
     if isinstance(node, ast.UnaryOp):
@@ -202,7 +185,7 @@ def taint_of(node: ast.expr | None, env: Env) -> frozenset[Label]:
         return taint_of(node.body, env) | taint_of(node.orelse, env)
     if isinstance(node, ast.Subscript):
         return taint_of(node.value, env) | _strip(
-            taint_of(node.slice, env), RESOURCE_KINDS | ALIAS_KINDS
+            taint_of(node.slice, env), ALIAS_KINDS
         )
     if isinstance(node, ast.Starred):
         return taint_of(node.value, env)

@@ -1,4 +1,4 @@
-"""Lint rules RL001–RL013: the conventions the reproduction depends on.
+"""Lint rules RL001–RL012: the conventions the reproduction depends on.
 
 Each rule is a class with a stable id, a one-line title, and an autofix
 hint.  Rules receive a :class:`~repro.lint.engine.FileContext` (parsed AST
@@ -563,46 +563,6 @@ class UnregisteredAttackRule(Rule):
                 )
 
 
-class ConfinedMultiprocessingRule(Rule):
-    """RL013 — ``multiprocessing`` imports are confined to the campaign layer.
-
-    Worker fan-out has exactly one sanctioned home: the campaign layer
-    (``repro/campaign/``), whose runner gets the platform context dance,
-    per-cell fault isolation, and deterministic per-cell seed derivation
-    right.  An ad-hoc ``multiprocessing`` pool anywhere else would
-    re-introduce the all-or-nothing ``pool.map`` failure mode and
-    dispatch-order-dependent seeds the runner exists to prevent.
-    Everything else parallelises by writing a campaign spec and handing
-    it to the runner.
-    """
-
-    rule_id = "RL013"
-    title = "multiprocessing import outside campaign/"
-    hint = "fan out via repro.campaign.CampaignRunner"
-
-    def applies_to(self, path: str) -> bool:
-        if not _in_package(path, "repro") or _is_test_path(path):
-            return False
-        return "repro/campaign/" not in path
-
-    def check(self, ctx: "FileContext") -> Iterator["Finding"]:
-        for node in ctx.walk():
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "multiprocessing" or alias.name.startswith(
-                        "multiprocessing."
-                    ):
-                        yield ctx.finding(
-                            self, node, "direct `import multiprocessing`"
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                if module == "multiprocessing" or module.startswith("multiprocessing."):
-                    yield ctx.finding(
-                        self, node, "direct `from multiprocessing import ...`"
-                    )
-
-
 # Imported at the bottom so the flow rules can subclass Rule above
 # without a circular import.
 from repro.lint.flow.rules import FLOW_RULES  # noqa: E402
@@ -620,6 +580,5 @@ ALL_RULES: tuple[type[Rule], ...] = (
     AssertValidationRule,
     PrintRule,
     UnregisteredAttackRule,
-    ConfinedMultiprocessingRule,
     *FLOW_RULES,
 )

@@ -12,10 +12,10 @@ Three layers over the simulated machine:
   measured-latency histogram straddling the LLC-hit threshold.
 * **Profiling** (`profiler`) — ``with machine.span("train"): ...`` scopes
   attributing simulated cycles and wall-clock to attack phases; always on.
-* **Cross-process telemetry** (`telemetry`) — per-worker wall windows
-  captured inside pool workers, merged by the parent into a
-  :class:`Timeline` that partitions the run's wall-clock into
-  serialize/queue/compute/serial buckets (``afterimage perf``).
+* **Campaign telemetry** (`telemetry`) — a :class:`Timeline` of each
+  executed cell's host seconds that partitions a campaign run's
+  wall-clock into cells/store/backoff/unattributed buckets
+  (``afterimage perf``).
 
 Enable tracing per machine with ``Machine(trace=True)`` (or a configured
 :class:`Tracer`), or globally with ``REPRO_TRACE=1`` — the same convention
@@ -41,21 +41,12 @@ from repro.obs.metrics import Histogram, MetricsRegistry, latency_bounds, snapsh
 from repro.obs.profiler import Span, SpanProfile, SpanStats
 from repro.obs.sinks import (
     ChromeTraceSink,
-    ChromeTraceWriter,
     JsonlSink,
     RingBufferSink,
     Sink,
     event_json,
 )
-from repro.obs.telemetry import (
-    BUCKETS,
-    TaskRecord,
-    TelemetryCollector,
-    TelemetryEnvelope,
-    Timeline,
-    WorkerTelemetry,
-    capture_worker,
-)
+from repro.obs.telemetry import BUCKETS, CellRecord, Timeline
 from repro.obs.tracer import (
     ENV_VAR,
     Tracer,
@@ -65,8 +56,8 @@ from repro.obs.tracer import (
 
 __all__ = [
     "BUCKETS",
+    "CellRecord",
     "ChromeTraceSink",
-    "ChromeTraceWriter",
     "Clflush",
     "ContextSwitch",
     "ENV_VAR",
@@ -87,16 +78,11 @@ __all__ = [
     "SpanProfile",
     "SpanStats",
     "TableTransition",
-    "TaskRecord",
-    "TelemetryCollector",
-    "TelemetryEnvelope",
     "Timeline",
     "TlbMiss",
     "TraceEvent",
     "Tracer",
-    "WorkerTelemetry",
     "event_json",
-    "capture_worker",
     "latency_bounds",
     "resolve_tracer",
     "snapshot",

@@ -22,6 +22,10 @@ from repro.obs.events import SpanBegin, SpanEnd
 if TYPE_CHECKING:
     from repro.cpu.machine import Machine
 
+#: The span ``run_on_machine`` wraps a whole attack run in; every other
+#: span an attack opens is a disjoint phase inside it.
+OUTER_SPAN = "total"
+
 
 class SpanStats:
     """Accumulated totals for one span name."""
@@ -65,21 +69,35 @@ class SpanProfile:
     def as_dict(self) -> dict[str, Any]:
         return {name: stats.as_dict() for name, stats in self.spans.items()}
 
-    def render_text(self) -> str:
-        """Aligned per-span breakdown (cycles, share, wall time, count)."""
+    def render_text(self, cycles: int) -> str:
+        """Aligned per-span breakdown (cycles, share, wall time, count).
+
+        ``cycles`` is the machine's simulated clock, the 100% line.  The
+        phase spans inside the :data:`OUTER_SPAN` are disjoint, so their
+        rows plus an explicit ``unattributed`` row (cycles in no phase
+        span) sum to 100%; the outer span's own row follows them.
+        """
         if not self.spans:
             return "(no spans recorded)"
-        total_cycles = sum(s.cycles for s in self.spans.values())
-        width = max(len(name) for name in self.spans)
+        phases = {name: s for name, s in self.spans.items() if name != OUTER_SPAN}
+        unattributed = cycles - sum(stats.cycles for stats in phases.values())
+        rows: list[tuple[str, int, SpanStats | None]] = [
+            (name, stats.cycles, stats) for name, stats in phases.items()
+        ]
+        rows.append(("unattributed", unattributed, None))
+        if OUTER_SPAN in self.spans:
+            outer = self.spans[OUTER_SPAN]
+            rows.append((OUTER_SPAN, outer.cycles, outer))
+        width = max(len(name) for name, _cycles, _stats in rows)
         lines = [
             f"{'span':<{width}}  {'cycles':>14}  {'share':>6}  {'wall (s)':>9}  {'count':>7}"
         ]
-        for name, stats in self.spans.items():
-            share = stats.cycles / total_cycles if total_cycles else 0.0
-            lines.append(
-                f"{name:<{width}}  {stats.cycles:>14,}  {share:>6.1%}  "
-                f"{stats.wall_seconds:>9.3f}  {stats.count:>7}"
-            )
+        for name, span_cycles, stats in rows:
+            share = span_cycles / cycles if cycles else 0.0
+            line = f"{name:<{width}}  {span_cycles:>14,}  {share:>6.1%}"
+            if stats is not None:
+                line += f"  {stats.wall_seconds:>9.3f}  {stats.count:>7}"
+            lines.append(line)
         return "\n".join(lines)
 
     def reset(self) -> None:

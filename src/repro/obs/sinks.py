@@ -87,59 +87,6 @@ class JsonlSink(Sink):
             self._fh = None
 
 
-class ChromeTraceWriter:
-    """Builds Chrome ``trace_event`` records with labeled process lanes.
-
-    Shared by :class:`ChromeTraceSink` (simulated-cycle timelines) and
-    :class:`repro.obs.telemetry.Timeline` (wall-clock worker timelines).
-    Each :meth:`lane` call allocates the next pid (allocation order is
-    deterministic) and emits the ``process_name``/``thread_name``
-    metadata events the trace viewers use to label lanes.
-    """
-
-    def __init__(self) -> None:
-        self.records: list[dict] = []
-        self._next_pid = 0
-
-    def lane(self, process_name: str, thread_name: str = "main") -> int:
-        """Allocate a labeled lane; returns its stable pid."""
-        self._next_pid += 1
-        pid = self._next_pid
-        for meta, label in (("process_name", process_name), ("thread_name", thread_name)):
-            self.records.append(
-                {"name": meta, "ph": "M", "pid": pid, "tid": 1, "args": {"name": label}}
-            )
-        return pid
-
-    def slice(
-        self,
-        pid: int,
-        name: str,
-        ts_us: float,
-        dur_us: float,
-        cat: str = "span",
-        args: dict | None = None,
-    ) -> None:
-        """One complete (``ph=X``) slice on lane ``pid``."""
-        record = {
-            "pid": pid,
-            "tid": 1,
-            "name": name,
-            "ph": "X",
-            "ts": ts_us,
-            "dur": max(0.0, dur_us),
-            "cat": cat,
-        }
-        if args:
-            record["args"] = args
-        self.records.append(record)
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"traceEvents": self.records}, fh, sort_keys=True)
-            fh.write("\n")
-
-
 class ChromeTraceSink(Sink):
     """Export a Chrome ``trace_event`` JSON file (Perfetto-compatible).
 
@@ -154,7 +101,9 @@ class ChromeTraceSink(Sink):
     (stable pid in registration order) and routes subsequent events
     there — so a multi-machine trace shows one named lane per machine
     instead of collapsing into a single unlabeled one.  Events emitted
-    before any registration land on a default "machine" lane.
+    before any registration land on a default "machine" lane.  Lane pids
+    are allocated in order, and each lane carries the
+    ``process_name``/``thread_name`` metadata events viewers label it by.
     """
 
     def __init__(self, path: str, cycles_per_us: float = 1.0) -> None:
@@ -162,14 +111,21 @@ class ChromeTraceSink(Sink):
             raise ValueError("cycles_per_us must be positive")
         self.path = path
         self.cycles_per_us = cycles_per_us
-        self._writer = ChromeTraceWriter()
+        self._records: list[dict] = []
+        self._lanes = 0
         self._machines = 0
         self._pid: int | None = None
         self._closed = False
 
-    @property
-    def _records(self) -> list[dict]:
-        return self._writer.records
+    def _lane(self, process_name: str) -> int:
+        """Allocate the next labeled lane; returns its stable pid."""
+        self._lanes += 1
+        pid = self._lanes
+        for meta, label in (("process_name", process_name), ("thread_name", "simulated core")):
+            self._records.append(
+                {"name": meta, "ph": "M", "pid": pid, "tid": 1, "args": {"name": label}}
+            )
+        return pid
 
     def register_machine(self, machine: object) -> int:
         """Open a new labeled lane for ``machine``; returns its pid.
@@ -181,14 +137,12 @@ class ChromeTraceSink(Sink):
         self._machines += 1
         params = getattr(machine, "params", None)
         preset = getattr(params, "name", None) or "machine"
-        self._pid = self._writer.lane(
-            f"{preset} #{self._machines}", "simulated core"
-        )
+        self._pid = self._lane(f"{preset} #{self._machines}")
         return self._pid
 
     def _current_pid(self) -> int:
         if self._pid is None:
-            self._pid = self._writer.lane("afterimage simulated machine", "simulated core")
+            self._pid = self._lane("afterimage simulated machine")
         return self._pid
 
     def _ts(self, cycle: int) -> float:
@@ -226,4 +180,6 @@ class ChromeTraceSink(Sink):
         if self._closed:
             return
         self._closed = True
-        self._writer.write(self.path)
+        with open(self.path, "w", encoding="utf-8") as fh:
+            json.dump({"traceEvents": self._records}, fh, sort_keys=True)
+            fh.write("\n")

@@ -113,13 +113,12 @@ class TestRun:
     def test_run_single_attack(self, capsys):
         assert main(["run", "sgx", "--rounds", "2"]) == 0
         out = capsys.readouterr().out
-        assert "sgx/i7-9700/baseline" in out and "jobs=1" in out
+        assert "sgx/i7-9700/baseline" in out and "1 executed" in out
 
-    def test_run_suite_parallel_json(self, capsys):
-        assert main(["run", "--suite", "--rounds", "2", "--jobs", "2",
-                     "--format", "json"]) == 0
+    def test_run_suite_json(self, capsys):
+        assert main(["run", "--suite", "--rounds", "2", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["jobs"] == 2
+        assert "jobs" not in payload
         assert payload["complete"]
         assert len(payload["aggregates"]) == 8
         for batch in payload["aggregates"].values():
@@ -156,8 +155,7 @@ class TestRun:
         )
 
     def test_perf_json_carries_the_timeline(self, capsys):
-        assert main(["perf", "sgx", "--rounds", "1", "--jobs", "1",
-                     "--format", "json"]) == 0
+        assert main(["perf", "sgx", "--rounds", "1", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["telemetry"]["attribution"]["coverage"] >= 0.95
         assert list(payload["aggregates"]) == ["sgx/i7-9700/baseline"]
@@ -316,11 +314,8 @@ class TestCampaign:
     "argv",
     [
         ["run", "sgx", "--repeats", "0"],
-        ["run", "sgx", "--jobs", "0"],
         ["run", "sgx", "--rounds", "0"],
-        ["perf", "sgx", "--jobs", "-1"],
         ["perf", "sgx", "--rounds", "x"],
-        ["campaign", "run", "attacks-vs-noise", "--jobs", "0"],
         ["campaign", "run", "attacks-vs-noise", "--max-attempts", "0"],
         ["campaign", "run", "attacks-vs-noise", "--rounds", "0"],
         ["campaign", "status", "attacks-vs-noise", "--repeats", "0"],
@@ -338,6 +333,38 @@ def test_non_positive_counts_are_usage_errors(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: afterimage")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "sgx", "--jobs", "2"],
+        ["perf", "sgx", "--jobs", "2"],
+        ["campaign", "run", "attacks-vs-noise", "--jobs", "2"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_jobs_is_not_an_option(argv, capsys):
+    """Cells run in-process; parallel fill is `--shard i/N` plus merge."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+class TestForwardedCommands:
+    """`lint` and `leakcheck` hand their arguments to their own CLIs as-is."""
+
+    def test_lint_arguments_reach_repro_lint(self, capsys):
+        assert main(["lint", "--select", "RL018", "--format", "json", "src/repro/obs"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["findings"] == []
+
+    def test_leakcheck_arguments_reach_repro_leakcheck(self, capsys):
+        assert main(["leakcheck", "rsa-square-multiply", "--defense", "tagged"]) == 0
+        capsys.readouterr()
+        assert main(["leakcheck", "branch-load", "--format", "json"]) == 1
+        json.loads(capsys.readouterr().out)
 
 
 class TestFleetCli:

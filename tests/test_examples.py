@@ -66,7 +66,7 @@ class TestExamples:
         assert out.exists()
 
     def test_perf_timeline(self, tmp_path):
-        out = tmp_path / "perf.trace.json"
+        out = tmp_path / "perf.json"
         stdout = run_example(
             "perf_timeline.py", "--rounds", "2", "--out", str(out)
         )

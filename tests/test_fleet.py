@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.attacks import attack_names
 from repro.attacks.trial import Trial, TrialBatch
 from repro.campaign import (
     AxisPoint,
@@ -118,14 +119,25 @@ class TestPartitioning:
 
 class TestShardedRunEqualsSerial:
     def test_two_workers_merge_to_byte_identical_store(self, tmp_path):
-        spec = small_spec()
-        serial_store = TrialStore(tmp_path / "serial")
+        # Four repeats of one attack, then every registered attack once:
+        # sharding plus merge is the only parallel fill, so the
+        # sharded == serial property must hold over the whole registry.
+        specs = {
+            "repeats": small_spec(),
+            "registry": small_spec(attacks=attack_names(), repeats=1, rounds=1),
+        }
+        for name, spec in specs.items():
+            self.check_two_workers_merge_to_serial(tmp_path / name, spec)
+
+    @staticmethod
+    def check_two_workers_merge_to_serial(root, spec):
+        serial_store = TrialStore(root / "serial")
         serial = CampaignRunner(serial_store).run(spec)
         assert serial.complete
 
         worker_results = []
         for i in range(2):
-            store = TrialStore(tmp_path / f"worker-{i}")
+            store = TrialStore(root / f"worker-{i}")
             result = CampaignRunner(store).run(spec, shard=Shard(index=i, total=2))
             assert result.shard == f"{i}/2"
             worker_results.append(result)
@@ -133,9 +145,7 @@ class TestShardedRunEqualsSerial:
             sum(len(r.outcomes) for r in worker_results) == spec.n_cells
         )
 
-        report = merge_stores(
-            tmp_path / "merged", [tmp_path / "worker-0", tmp_path / "worker-1"]
-        )
+        report = merge_stores(root / "merged", [root / "worker-0", root / "worker-1"])
         assert report.merged == spec.n_cells
         assert report.dest_cells == spec.n_cells
 
@@ -143,15 +153,16 @@ class TestShardedRunEqualsSerial:
         # the store's structure.  (Raw bytes differ only by the host
         # wall clocks recorded inside batches; the wall-clock-free
         # aggregate view below must be byte-identical.)
-        serial_names = {p.name for p in (tmp_path / "serial" / "shards").glob("*.jsonl")}
-        merged_names = {p.name for p in (tmp_path / "merged" / "shards").glob("*.jsonl")}
+        serial_names = {p.name for p in (root / "serial" / "shards").glob("*.jsonl")}
+        merged_names = {p.name for p in (root / "merged" / "shards").glob("*.jsonl")}
         assert serial_names == merged_names
-        assert sorted(TrialStore(tmp_path / "merged").keys()) == sorted(
-            TrialStore(tmp_path / "serial").keys()
+        assert sorted(TrialStore(root / "merged").keys()) == sorted(
+            TrialStore(root / "serial").keys()
         )
 
-        merged_run = CampaignRunner(TrialStore(tmp_path / "merged")).run(spec)
+        merged_run = CampaignRunner(TrialStore(root / "merged")).run(spec)
         assert merged_run.all_cached
+        assert len(merged_run.aggregates()) == len(spec.attacks)
         assert canonical_json(serial.aggregates()) == canonical_json(
             merged_run.aggregates()
         )

@@ -41,12 +41,7 @@ from repro.leakcheck.extract.scan import (
     scan_paths,
 )
 from repro.leakcheck.cli import main as leakcheck_main
-from repro.lint.flow.callgraph import (
-    closure_defs,
-    function_defs,
-    module_functions,
-    reachable_from,
-)
+from repro.lint.flow.callgraph import closure_defs, function_defs
 
 FIXTURE_PATH = fixtures.__file__
 
@@ -123,21 +118,11 @@ class B:
 
 
 class TestCallgraph:
-    def test_module_functions_excludes_methods(self):
-        tree = ast.parse(CALLGRAPH_SRC)
-        assert set(module_functions(tree)) == {"worker", "helper"}
-
     def test_function_defs_groups_ambiguous_names(self):
         tree = ast.parse(CALLGRAPH_SRC)
         defs = function_defs(tree)
         assert len(defs["_inner"]) == 2
         assert len(defs["worker"]) == 1
-
-    def test_reachable_from_follows_bare_calls(self):
-        tree = ast.parse(CALLGRAPH_SRC)
-        reached = reachable_from(module_functions(tree), {"worker": 2})
-        assert set(reached) == {"worker", "helper"}
-        assert reached["helper"] == ("worker", 2)
 
     def test_closure_defs_follows_attribute_calls(self):
         tree = ast.parse(CALLGRAPH_SRC)

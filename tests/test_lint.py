@@ -502,41 +502,3 @@ class TestUnregisteredAttack:
         for module in sorted(core.glob("*.py")):
             findings = lint_source(module.read_text(), f"src/repro/core/{module.name}")
             assert [f for f in findings if f.rule == "RL012"] == [], module.name
-
-
-# --------------------------------------------------------------------- #
-# RL013 — multiprocessing confined to the campaign layer                #
-# --------------------------------------------------------------------- #
-
-
-class TestConfinedMultiprocessing:
-    def test_plain_import_flagged(self):
-        assert "RL013" in rule_ids(
-            lint("import multiprocessing\n", path="src/repro/obs/telemetry.py")
-        )
-
-    def test_from_import_flagged(self):
-        assert "RL013" in rule_ids(
-            lint("from multiprocessing import Pool\n", path="src/repro/analysis/report.py")
-        )
-
-    def test_submodule_import_flagged(self):
-        assert "RL013" in rule_ids(
-            lint("import multiprocessing.pool\n", path="src/repro/utils/stats.py")
-        )
-
-    def test_attacks_package_not_exempt(self):
-        assert "RL013" in rule_ids(
-            lint("import multiprocessing\n", path="src/repro/attacks/registry.py")
-        )
-
-    def test_campaign_package_exempt(self):
-        assert (
-            lint("import multiprocessing\n", path="src/repro/campaign/runner.py") == []
-        )
-
-    def test_tests_exempt(self):
-        assert lint("import multiprocessing\n", path=TEST_PATH) == []
-
-    def test_unrelated_import_clean(self):
-        assert lint("import json\n", path="src/repro/obs/telemetry.py") == []

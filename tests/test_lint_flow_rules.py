@@ -167,204 +167,6 @@ class TestSeedTaint:
 
 
 # --------------------------------------------------------------------- #
-# RL016 — worker callables reaching module-level mutable globals         #
-# --------------------------------------------------------------------- #
-
-#: The ISSUE's acceptance fixture: a dispatched worker mutating a
-#: module-level mutable global.
-WORKER_MUTATES_GLOBAL = '''
-_RESULTS = []
-
-def worker(task):
-    _RESULTS.append(task.key)
-    return task.key
-
-def run_all(pool, tasks):
-    return pool.map(worker, tasks)
-'''
-
-
-class TestWorkerSharedGlobal:
-    def test_worker_mutating_module_global_is_flagged(self):
-        assert "RL016" in rule_ids(lint(WORKER_MUTATES_GLOBAL))
-
-    def test_undispatched_function_is_not_flagged(self):
-        source = "_RESULTS = []\n\ndef helper(task):\n    _RESULTS.append(task.key)\n"
-        assert "RL016" not in rule_ids(lint(source))
-
-    def test_reached_through_module_local_call_graph(self):
-        source = (
-            "_CACHE = {}\n"
-            "def record(key):\n"
-            "    _CACHE[key] = True\n"
-            "def worker(task):\n"
-            "    return record(task.key)\n"
-            "def run_all(executor, tasks):\n"
-            "    return executor.map(worker, tasks)\n"
-        )
-        assert "RL016" in rule_ids(lint(source))
-
-    def test_partial_wrapped_worker_is_resolved(self):
-        source = (
-            "from functools import partial\n"
-            "_SEEN = set()\n"
-            "def worker(cfg, task):\n"
-            "    _SEEN.add(task.key)\n"
-            "def run_all(pool, tasks, cfg):\n"
-            "    return pool.map(partial(worker, cfg), tasks)\n"
-        )
-        assert "RL016" in rule_ids(lint(source))
-
-    def test_run_cell_fn_keyword_dispatch(self):
-        source = (
-            "_SEEN = {}\n"
-            "def cell_fn(cell):\n"
-            "    _SEEN[cell.key] = 1\n"
-            "def launch(runner_cls):\n"
-            "    return runner_cls(jobs=2, run_cell_fn=cell_fn)\n"
-        )
-        assert "RL016" in rule_ids(lint(source))
-
-    def test_local_shadowing_is_not_a_global_access(self):
-        source = (
-            "_RESULTS = []\n"
-            "def worker(task):\n"
-            "    _RESULTS = []\n"
-            "    _RESULTS.append(task.key)\n"
-            "    return _RESULTS\n"
-            "def run_all(pool, tasks):\n"
-            "    return pool.map(worker, tasks)\n"
-        )
-        assert "RL016" not in rule_ids(lint(source))
-
-    def test_read_only_registry_read_by_worker_is_clean(self):
-        # A module-level dict built at import time and never mutated from
-        # functions is the sanctioned registry pattern.
-        source = (
-            "_REGISTRY = {'covert': 1}\n"
-            "def worker(task):\n"
-            "    return _REGISTRY[task.attack]\n"
-            "def run_all(pool, tasks):\n"
-            "    return pool.map(worker, tasks)\n"
-        )
-        assert "RL016" not in rule_ids(lint(source))
-
-    def test_worker_read_of_runtime_mutated_global_is_flagged(self):
-        source = (
-            "_REGISTRY = {}\n"
-            "def register(name):\n"
-            "    _REGISTRY[name] = True\n"
-            "def worker(task):\n"
-            "    return _REGISTRY[task.attack]\n"
-            "def run_all(pool, tasks):\n"
-            "    return pool.map(worker, tasks)\n"
-        )
-        assert "RL016" in rule_ids(lint(source))
-
-    def test_global_rebind_in_worker_is_flagged(self):
-        source = (
-            "_STATE = {}\n"
-            "def worker(task):\n"
-            "    global _STATE\n"
-            "    _STATE = {task.key: 1}\n"
-            "def run_all(pool, tasks):\n"
-            "    return pool.map(worker, tasks)\n"
-        )
-        assert "RL016" in rule_ids(lint(source))
-
-    def test_non_poolish_receiver_is_ignored(self):
-        source = (
-            "_RESULTS = []\n"
-            "def worker(x):\n"
-            "    _RESULTS.append(x)\n"
-            "def run_all(values):\n"
-            "    return builtins_map.map(worker, values)\n"
-        )
-        assert "RL016" not in rule_ids(lint(source))
-
-
-# --------------------------------------------------------------------- #
-# RL017 — resources across the pool; post-dispatch mutation              #
-# --------------------------------------------------------------------- #
-
-
-class TestForkCapture:
-    def test_open_handle_passed_to_pool_is_flagged(self):
-        source = (
-            "def run_all(pool, tasks):\n"
-            "    log = open('run.log', 'w')\n"
-            "    return pool.apply_async(write_all, log)\n"
-        )
-        assert "RL017" in rule_ids(lint(source))
-
-    def test_lambda_capturing_handle_is_flagged(self):
-        source = (
-            "def run_all(executor, tasks):\n"
-            "    log = open('run.log', 'w')\n"
-            "    return executor.map(lambda t: log.write(str(t)), tasks)\n"
-        )
-        assert "RL017" in rule_ids(lint(source))
-
-    def test_nested_def_capturing_lock_is_flagged(self):
-        source = (
-            "import threading\n"
-            "def run_all(pool, tasks):\n"
-            "    guard = threading.Lock()\n"
-            "    def worker(task):\n"
-            "        with guard:\n"
-            "            return task.key\n"
-            "    return pool.map(worker, tasks)\n"
-        )
-        assert "RL017" in rule_ids(lint(source))
-
-    def test_data_read_from_handle_is_not_a_resource(self):
-        source = (
-            "def run_all(pool, paths):\n"
-            "    with open(paths[0]) as fh:\n"
-            "        lines = fh.read().splitlines()\n"
-            "    return pool.map(str, lines)\n"
-        )
-        assert "RL017" not in rule_ids(lint(source))
-
-    def test_mutation_after_submit_is_flagged(self):
-        source = (
-            "def run_all(executor, tasks):\n"
-            "    handle = executor.map(str, tasks)\n"
-            "    tasks.append('late')\n"
-            "    return handle\n"
-        )
-        assert "RL017" in rule_ids(lint(source))
-
-    def test_rebinding_after_submit_is_clean(self):
-        source = (
-            "def run_all(executor, tasks):\n"
-            "    handle = executor.map(str, tasks)\n"
-            "    tasks = ['fresh']\n"
-            "    tasks.append('late')\n"
-            "    return handle, tasks\n"
-        )
-        assert "RL017" not in rule_ids(lint(source))
-
-    def test_mutation_before_submit_is_clean(self):
-        source = (
-            "def run_all(executor, tasks):\n"
-            "    tasks.append('early')\n"
-            "    return executor.run(tasks)\n"
-        )
-        assert "RL017" not in rule_ids(lint(source))
-
-    def test_loop_back_edge_keeps_submission_live(self):
-        source = (
-            "def run_all(executor, tasks, rounds):\n"
-            "    for _ in range(rounds):\n"
-            "        executor.run(tasks)\n"
-            "        tasks.append('extra')\n"
-            "    return tasks\n"
-        )
-        assert "RL017" in rule_ids(lint(source))
-
-
-# --------------------------------------------------------------------- #
 # RL018 — spans and sinks must close on every path                       #
 # --------------------------------------------------------------------- #
 
@@ -612,23 +414,6 @@ FLOW_FIXTURES = [
         "    s = time.time()  # repro: noqa[RL003]\n"
         "    return make_rng(int(s))\n",
         4,
-    ),
-    (
-        "RL016",
-        "_RESULTS = []\n"
-        "def worker(task):\n"
-        "    _RESULTS.append(task.key)\n"
-        "def run_all(pool, tasks):\n"
-        "    return pool.map(worker, tasks)\n",
-        2,
-    ),
-    (
-        "RL017",
-        "def run_all(executor, tasks):\n"
-        "    handle = executor.map(str, tasks)\n"
-        "    tasks.append('late')\n"
-        "    return handle\n",
-        2,
     ),
     (
         "RL018",

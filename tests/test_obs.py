@@ -204,6 +204,43 @@ class TestSpanExceptionSafety:
         assert machine.profile.spans["outer"].count == 1
 
 
+class TestSpanTable:
+    """The span table's shares are of the machine's simulated cycles."""
+
+    @staticmethod
+    def rows(text: str) -> dict[str, tuple[int, float]]:
+        """span name -> (cycles, share %) parsed from the rendered table."""
+        rows = {}
+        for line in text.splitlines()[1:]:
+            name, cycles, share, *_rest = line.split()
+            rows[name] = (int(cycles.replace(",", "")), float(share.rstrip("%")))
+        return rows
+
+    def test_phase_rows_plus_unattributed_sum_to_the_machine_cycles(self):
+        from repro.attacks.registry import run_on_machine
+
+        machine = Machine(COFFEE_LAKE_I7_9700, seed=3)
+        run_on_machine("variant1", machine, seed=3, rounds=2)
+        rows = self.rows(machine.profile.render_text(machine.cycles))
+        total = rows.pop("total")
+        assert total == (machine.cycles, 100.0)
+        assert rows["unattributed"][0] > 0  # round setup outside every phase
+        assert sum(cycles for cycles, _share in rows.values()) == machine.cycles
+        assert sum(share for _cycles, share in rows.values()) == pytest.approx(100.0, abs=0.5)
+
+    def test_without_an_outer_span_everything_else_is_unattributed(self):
+        machine = Machine(COFFEE_LAKE_I7_9700, seed=1)
+        ctx = machine.new_thread("t")
+        buffer = machine.new_buffer(ctx.space, PAGE_SIZE)
+        machine.context_switch(ctx)
+        with machine.span("train"):
+            machine.load(ctx, 0x40_0000, buffer.base)
+        machine.load(ctx, 0x40_0010, buffer.base + 64)
+        rows = self.rows(machine.profile.render_text(machine.cycles))
+        assert set(rows) == {"train", "unattributed"}
+        assert rows["train"][0] + rows["unattributed"][0] == machine.cycles
+
+
 class TestTracer:
     def test_default_sink_is_ring_buffer(self):
         tracer = Tracer()
@@ -332,7 +369,7 @@ class TestOneObservationPath:
     """Every trace event reaches the machine's one tracer, and the load and
     switch paths emit their event before the sanitizer audits them."""
 
-    def test_component_events_reach_a_tap_stamped_from_the_kernel_clock(self):
+    def test_component_events_reach_the_tracer_stamped_from_the_kernel_clock(self):
         tracer = Tracer()
         kernel = SimKernel(tracer)
         kernel.clock.cycles = 42
