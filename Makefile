@@ -84,16 +84,22 @@ fleet-smoke:
 # machine alive) and its swappable IP-stride table, the observation
 # contract (an untraced machine builds no trace event, sanitized or not;
 # the load and switch paths emit their trace event before the sanitizer
-# audits), and the per-load layer call counts behind the perfbench
-# `.calls` pins.  Mirrors the CI `kernel-equivalence` job.
+# audits), the per-load layer call counts behind the perfbench `.calls`
+# pins, and the construction paths (eviction-set index, switch-noise frame
+# table) against the per-item code they replaced.
+# Mirrors the CI `kernel-equivalence` job.
 KERNEL_EQUIVALENCE_TESTS := tests/test_kernel_equivalence.py \
 	tests/test_cpu_machine.py::TestLifetime tests/test_cpu_machine.py::TestPrefetcherSwap \
 	tests/test_obs_overhead.py::TestDisabledPath::test_no_event_constructed_when_disabled \
 	tests/test_obs_overhead.py::TestDisabledPath::test_no_trace_event_constructed_when_only_sanitized \
 	tests/test_obs.py::TestOneObservationPath::test_load_is_traced_then_audited \
 	tests/test_obs.py::TestOneObservationPath::test_switch_is_traced_then_audited
+CONSTRUCTION_TESTS := tests/test_channels.py::TestEvictionSets \
+	tests/test_memsys_hierarchy.py::TestSliceHash::test_slices_of_matches_slice_of \
+	tests/test_cpu_machine.py::TestNoiseInjection::test_switch_and_tick_noise_make_no_page_walk
 kernel-equivalence:
 	$(PYTHON) -m pytest -x -q $(KERNEL_EQUIVALENCE_TESTS) tests/test_load_path.py
+	$(PYTHON) -m pytest -x -q $(CONSTRUCTION_TESTS)
 
 # The simulator-speed gate: one untraced and one traced unit of each gated
 # perfbench workload must reproduce perfbench/reference.json (output digest,

@@ -7,8 +7,11 @@ translation — the paper's artifact reads ``/proc/pid/pagemap`` (and hence
 needs sudo, §A.4); here the equivalent capability is reading the simulated
 page table.
 
-The builder reads it once per pool page and files every page under its
-frame's *page colour*, ``frame % (llc_sets // 64)``, and slice.  With a
+The builder gathers the pool's frames from it in one read, with no walk
+per page, and files every page under its frame's *page colour*,
+``frame % (llc_sets // 64)``, and slice.  It classifies the whole pool
+with array operations (the slice from ``SliceHash.slices_of``), and a
+stable sort by class keeps page order within each class.  With a
 per-slice set count that is a multiple of 64 (2048 on both Table 2
 presets), line ``b`` of frame ``f`` lands in set ``(f % colours) * 64 + b``,
 so a pool page covers all 64 sets of a victim page or none of them: it
@@ -22,8 +25,9 @@ no further walk.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.cpu.context import ThreadContext
 from repro.cpu.machine import Machine
@@ -46,13 +50,16 @@ class EvictionSet:
 class EvictionSetBuilder:
     """Build MESs from a private memory pool using pagemap-style translation.
 
-    Construction maps the pool and walks each of its pages once, in page
-    order, into ``_pages``: one list of page vaddrs per (colour, frame
-    slice) class.  Raises ValueError when the LLC's per-slice set count is
+    Construction maps the pool, gathers its frames from the page table
+    and sorts its pages, in page order, into ``_pages``: one list of page
+    vaddrs per (colour, frame slice) class.  Raises ValueError for a
+    non-positive ``pool_pages``, and when the LLC's per-slice set count is
     not a multiple of 64, where a page's lines would straddle two colours.
     """
 
     def __init__(self, machine: Machine, ctx: ThreadContext, pool_pages: int = 12288) -> None:
+        if pool_pages <= 0:
+            raise ValueError(f"pool_pages must be positive, got {pool_pages}")
         llc_sets = machine.params.llc.sets
         if llc_sets % LINES_PER_PAGE:
             raise ValueError(
@@ -65,14 +72,19 @@ class EvictionSetBuilder:
             ctx.space.mmap(pool_pages * PAGE_SIZE, locked=True, name="es-pool")
         )
         self._associativity = machine.params.llc.ways
-        self._slice_of = machine.hierarchy.slice_hash.slice_of
+        slice_hash = machine.hierarchy.slice_hash
+        self._slice_of = slice_hash.slice_of
         self._n_colours = llc_sets // LINES_PER_PAGE
         self._n_slices = machine.params.llc_slices
-        self._pages = [array("Q") for _ in range(self._n_colours * self._n_slices)]
-        translate = ctx.space.translate
-        base = self.pool.base
-        for page_vaddr in range(base, base + self.pool.n_pages * PAGE_SIZE, PAGE_SIZE):
-            self._pages[self._frame_class(translate(page_vaddr))].append(page_vaddr)
+        frames = np.array(self.pool.mapping.frames(), dtype=np.int64)
+        classes = frames % self._n_colours * self._n_slices + slice_hash.slices_of(
+            frames * PAGE_SIZE
+        )
+        page_vaddrs = (self.pool.base + np.argsort(classes, kind="stable") * PAGE_SIZE).tolist()
+        ends = np.cumsum(
+            np.bincount(classes, minlength=self._n_colours * self._n_slices)
+        ).tolist()
+        self._pages = [page_vaddrs[start:end] for start, end in zip([0] + ends, ends)]
 
     def _frame_class(self, paddr: int) -> int:
         """Index into ``_pages`` of the (colour, slice) class of ``paddr``'s frame."""
@@ -85,10 +97,13 @@ class EvictionSetBuilder:
         victim address: the same line of the first pool pages, in page
         order, whose frames share the victim frame's colour and slice.
 
-        Raises RuntimeError when the pool is too small — the artifact's
-        advice for its segfault failure mode is exactly "increase the size
-        of the memory pool" (§A.4).
+        Raises ValueError for a negative ``extra_ways`` (fewer than
+        ``associativity`` lines cannot evict), and RuntimeError when the
+        pool is too small — the artifact's advice for its segfault failure
+        mode is exactly "increase the size of the memory pool" (§A.4).
         """
+        if extra_ways < 0:
+            raise ValueError(f"extra_ways must be non-negative, got {extra_ways}")
         paddr = ctx.space.translate(vaddr)
         slice_id, set_index = self.machine.hierarchy.llc_set_index(paddr)
         pages = self._pages[self._frame_class(paddr)]

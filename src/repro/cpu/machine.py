@@ -166,6 +166,11 @@ class Machine:
                 SWITCH_NOISE_PAGES * PAGE_SIZE, locked=True, name="switch-noise"
             )
         )
+        # Its pages are locked and never remapped, so the noise paths
+        # translate a line through this frame table, not a page walk: line
+        # ``n`` (64-byte lines, 4 KiB pages) is at physical address
+        # ``frames[n >> 6] << 12 | (n & 63) << 6``.
+        self._switch_noise_frames = self._switch_noise.mapping.frames()
         # The context-switch path is fixed code: its load IPs are chosen
         # once per boot and hit the same prefetcher indexes every switch.
         self._switch_path_ips = [
@@ -463,16 +468,14 @@ class Machine:
         self._kernel_prefetcher_noise(ips)
 
     def _noise_lines(self, count: int) -> list[int]:
-        """Virtual addresses of ``count`` random switch-noise lines."""
-        base = self._switch_noise.base
-        lines = self._os_rng.integers(0, self._switch_noise.n_lines, size=count).tolist()
-        return [base + line * CACHE_LINE_SIZE for line in lines]
+        """Indexes of ``count`` random lines of the switch-noise buffer."""
+        return self._os_rng.integers(0, self._switch_noise.n_lines, size=count).tolist()
 
     def _touch_noise_lines(self, count: int) -> None:
         """Demand-access ``count`` random kernel lines (cache pollution)."""
-        translate, access = self.kernel_space.translate, self.hierarchy.access
-        for vaddr in self._noise_lines(count):
-            access(translate(vaddr))
+        frames, access = self._switch_noise_frames, self.hierarchy.access
+        for line in self._noise_lines(count):
+            access(frames[line >> 6] << 12 | (line & 63) << 6)
 
     def _kernel_prefetcher_noise(self, ips: list[int]) -> None:
         """Kernel loads (random data lines) at the given IPs.
@@ -480,10 +483,11 @@ class Machine:
         They feed only the IP-stride table, and never with a usable
         translation.
         """
-        space, ip_stride = self.kernel_space, self.ip_stride
-        asid = space.asid
-        for ip, vaddr in zip(ips, self._noise_lines(len(ips))):
-            event = LoadEvent(ip, vaddr, space.translate(vaddr), MemoryLevel.LLC, asid)
+        base, frames = self._switch_noise.base, self._switch_noise_frames
+        ip_stride, asid = self.ip_stride, self.kernel_space.asid
+        for ip, line in zip(ips, self._noise_lines(len(ips))):
+            paddr = frames[line >> 6] << 12 | (line & 63) << 6
+            event = LoadEvent(ip, base + line * CACHE_LINE_SIZE, paddr, MemoryLevel.LLC, asid)
             requests = ip_stride.observe(event, _null_translate)
             if requests:
                 self._dispatch(requests, ip)

@@ -14,6 +14,8 @@ slice-aware eviction-set construction in :mod:`repro.channels.eviction_sets`.
 
 from __future__ import annotations
 
+import numpy as np
+
 # Published parity masks (bit positions of the physical address) for the
 # slice-hash bits o0, o1, o2 on Haswell-generation parts.
 _O0_BITS = (6, 10, 12, 14, 16, 17, 18, 20, 22, 24, 25, 26, 27, 28, 30, 32, 33)
@@ -49,6 +51,22 @@ class SliceHash:
         for bit, mask in enumerate(self.masks):
             slice_id |= ((paddr & mask).bit_count() & 1) << bit
         return slice_id
+
+    def slices_of(self, paddrs: np.ndarray) -> np.ndarray:
+        """``slice_of`` of every address in an integer array, elementwise.
+
+        Each mask's parity is XOR-folded down to bit 0 (``np.bitwise_count``
+        needs NumPy 2.0); the masks stay below bit 63, so six folds cover
+        them.
+        """
+        paddrs = np.asarray(paddrs, dtype=np.int64)
+        slice_ids = np.zeros(paddrs.shape, dtype=np.int64)
+        for bit, mask in enumerate(self.masks):
+            parity = paddrs & mask
+            for shift in (32, 16, 8, 4, 2, 1):
+                parity ^= parity >> shift
+            slice_ids |= (parity & 1) << bit
+        return slice_ids
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SliceHash(n_slices={self.n_slices})"

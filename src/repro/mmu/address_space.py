@@ -49,14 +49,15 @@ class Mapping:
         return list(range(first, first + self.n_pages))
 
     def frames(self) -> list[int]:
-        """Physical frames currently backing the mapping, in page order."""
-        result = []
-        for vpage in self.vpages():
-            frame = self.space.page_table.frame_of(vpage)
-            if frame is None:
-                raise KeyError(f"mapping {self.name!r}: page {vpage:#x} is unmapped")
-            result.append(frame)
-        return result
+        """Physical frames currently backing the mapping, in page order:
+        one gather from the page table's dict, like reading
+        ``/proc/pid/pagemap`` for the whole range."""
+        vpages = self.vpages()
+        frames = list(map(self.space.page_table.entries.get, vpages))
+        if None in frames:
+            vpage = vpages[frames.index(None)]
+            raise KeyError(f"mapping {self.name!r}: page {vpage:#x} is unmapped")
+        return frames
 
 
 class AddressSpace:

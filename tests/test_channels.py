@@ -133,9 +133,10 @@ class TestEvictionSets:
     @pytest.mark.parametrize("seed", [0, 7, 171])
     def test_page_scan_matches_reference(self, params, seed, monkeypatch):
         """``build_for_page`` returns the sets of the line-indexed scan it
-        replaced (``_reference_build_for_page``).  Counting the builder's
-        index, it walks each pool page once plus each victim line once,
-        where the reference scans the pool for every line."""
+        replaced (``_reference_build_for_page``).  Building the index makes
+        no page walk (it gathers the pool's frames from the page table), and
+        the page build walks each victim line once, where the reference
+        scans the pool for every line."""
         walks = _count_walks(monkeypatch)
         results = []
         for build in (_reference_build_for_page, EvictionSetBuilder.build_for_page):
@@ -151,8 +152,8 @@ class TestEvictionSets:
             ))
         (reference_sets, _, reference_walks), (sets, index_walks, page_walks) = results
         assert sets == reference_sets
-        assert index_walks + page_walks < reference_walks
-        assert index_walks + page_walks <= builder.pool.n_pages + LINES_PER_PAGE
+        assert index_walks == 0
+        assert page_walks == LINES_PER_PAGE < reference_walks
 
     @pytest.mark.parametrize("params", [HASWELL_I7_4770, COFFEE_LAKE_I7_9700], ids=lambda p: p.name)
     def test_extra_ways_match_reference(self, params):
@@ -163,6 +164,21 @@ class TestEvictionSets:
             es = builder.build_for_address(ctx, vaddr, extra_ways=3)
             assert len(es) == machine.params.llc.ways + 3
             assert es == _reference_build(builder, ctx, vaddr, extra_ways=3)
+
+    def test_negative_extra_ways_rejected(self, setup):
+        machine, ctx, shared = setup
+        builder = EvictionSetBuilder(machine, ctx, pool_pages=64)
+        with pytest.raises(ValueError, match="extra_ways must be non-negative, got -5"):
+            builder.build_for_address(ctx, shared.line_addr(0), extra_ways=-5)
+
+    @pytest.mark.parametrize("pool_pages", [0, -3])
+    def test_non_positive_pool_rejected_before_mapping(self, setup, pool_pages):
+        machine, ctx, _ = setup
+        allocated, mapped = machine.physical.allocated_count, len(ctx.space.page_table)
+        with pytest.raises(ValueError, match=f"pool_pages must be positive, got {pool_pages}"):
+            EvictionSetBuilder(machine, ctx, pool_pages=pool_pages)
+        assert machine.physical.allocated_count == allocated
+        assert len(ctx.space.page_table) == mapped
 
     def test_llc_sets_not_a_multiple_of_64_rejected(self):
         params = dataclasses.replace(

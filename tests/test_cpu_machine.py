@@ -10,6 +10,7 @@ from repro.attacks import attack_names, run_trials
 from repro.cpu.machine import SWITCH_NOISE_PAGES, Machine
 from repro.defenses.tagged_prefetcher import harden_machine
 from repro.memsys.hierarchy import MemoryLevel
+from repro.mmu.address_space import AddressSpace
 from repro.params import COFFEE_LAKE_I7_9700, LINES_PER_PAGE, PAGE_SIZE
 from repro.utils.rng import derive_rng, make_rng
 
@@ -211,6 +212,40 @@ class TestNoiseInjection:
         before = m.ip_stride.allocations
         m.context_switch(b)
         assert m.ip_stride.allocations > before
+
+    def test_switch_and_tick_noise_make_no_page_walk(self, monkeypatch):
+        """The noise paths translate through the switch-noise frame table:
+        no ``AddressSpace.translate`` call, and every noise load's paddr is
+        the page table's translation of its vaddr."""
+        m = Machine(COFFEE_LAKE_I7_9700, seed=5)
+        a, b = m.new_thread("a"), m.new_thread("b")
+        events = []
+        observe = m.ip_stride.observe
+
+        def recording_observe(event, translate):
+            events.append(event)
+            return observe(event, translate)
+
+        monkeypatch.setattr(m.ip_stride, "observe", recording_observe)
+        walks = [0]
+        translate = AddressSpace.translate
+
+        def counting_translate(space, vaddr):
+            walks[0] += 1
+            return translate(space, vaddr)
+
+        monkeypatch.setattr(AddressSpace, "translate", counting_translate)
+        accesses = m.hierarchy.demand_accesses
+        for ctx in (a, b, a):
+            m.context_switch(ctx)
+        m.advance(2 * m.timer_period_cycles)
+        m.maybe_tick()
+        assert m.timer_interrupts == 1
+        assert m.hierarchy.demand_accesses > accesses
+        assert walks[0] == 0
+        assert events and all(event.asid == m.kernel_space.asid for event in events)
+        for event in events:
+            assert translate(m.kernel_space, event.vaddr) == event.paddr
 
     def test_timer_interrupts_fire_on_long_runs(self):
         m = Machine(COFFEE_LAKE_I7_9700, seed=5)

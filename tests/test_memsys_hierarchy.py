@@ -162,6 +162,16 @@ class TestSliceHash:
         hierarchy = CacheHierarchy(HASWELL_I7_4770)
         assert len(hierarchy.llc) == 4
 
+    @pytest.mark.parametrize("n_slices", [1, 2, 4, 8])
+    def test_slices_of_matches_slice_of(self, n_slices):
+        """The array hash equals ``slice_of`` elementwise below 2**36: the
+        masks reach bit 35."""
+        h = SliceHash(n_slices)
+        paddrs = make_rng(n_slices).integers(0, 2**36, 10_000)
+        slices = h.slices_of(paddrs)
+        assert slices.shape == paddrs.shape
+        assert slices.tolist() == [h.slice_of(paddr) for paddr in paddrs.tolist()]
+
     @settings(max_examples=30)
     @given(st.integers(min_value=0, max_value=2**33))
     def test_line_granularity(self, addr):
@@ -305,3 +315,4 @@ def test_one_pass_hierarchy_matches_per_level_reference(n_slices, line_size, ops
             getattr(hierarchy, op)(paddr)
             getattr(reference, op)(paddr)
         assert _state(hierarchy) == _state(reference), (op, hex(paddr))
+
