@@ -10,8 +10,8 @@ trace for a witness pair of secrets and diffing the resulting table states.
 
 * :mod:`repro.leakcheck.trace` — the victim description (:class:`VictimSpec`:
   labeled load IPs + a secret-parameterized trace generator).
-* :mod:`repro.leakcheck.table` — :class:`AbstractTable`, the taint-tracking
-  transcription of Algorithm 1.
+* :mod:`repro.leakcheck.table` — :class:`AbstractTable`, the stock
+  Algorithm-1 history table with a taint overlay.
 * :mod:`repro.leakcheck.analyzer` — :func:`analyze`, the witness-pair
   differencing pass, with the :mod:`repro.defenses` applied statically.
 * :mod:`repro.leakcheck.report` — :class:`LeakReport` + text/JSON rendering.
@@ -28,14 +28,13 @@ See docs/LEAKCHECK.md for the abstract domain and its soundness caveats.
 from repro.leakcheck.analyzer import DEFENSES, analyze
 from repro.leakcheck.extract import ExtractError, compile_path, compile_source, scan_paths
 from repro.leakcheck.report import SCHEMA_VERSION, LeakReport, LeakyEntry
-from repro.leakcheck.table import AbstractEntry, AbstractPrefetch, AbstractTable
+from repro.leakcheck.table import AbstractPrefetch, AbstractTable
 from repro.leakcheck.trace import TraceLoad, VictimSpec
 from repro.leakcheck.victims import RegisteredVictim, get_victim, victim_names
 
 __all__ = [
     "DEFENSES",
     "SCHEMA_VERSION",
-    "AbstractEntry",
     "AbstractPrefetch",
     "AbstractTable",
     "ExtractError",

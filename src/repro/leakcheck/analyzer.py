@@ -90,9 +90,7 @@ def _run_trace(
         for train_ip, buffer_base, stride in canary_plan(spec, params):
             table.pretrain(train_ip, buffer_base, stride)
     for load in spec.trace(secret):
-        table.observe(
-            spec.labels[load.label], bases[load.region] + load.offset, load.taint
-        )
+        table.load(spec.labels[load.label], bases[load.region] + load.offset, load.taint)
     return table
 
 
@@ -100,7 +98,7 @@ def _diff(
     t0: AbstractTable, t1: AbstractTable
 ) -> dict[int, tuple[set[str], set[str]]]:
     """index → (divergence kinds, responsible taint) between two runs."""
-    indexes = set(t0.entries()) | set(t1.entries())
+    indexes = set(t0.live_entries()) | set(t1.live_entries())
     indexes |= {p.index for p in t0.prefetches} | {p.index for p in t1.prefetches}
     result: dict[int, tuple[set[str], set[str]]] = {}
     for index in indexes:
@@ -119,10 +117,7 @@ def _diff(
             kinds.add("prefetch")
         if not kinds:
             continue
-        taint: set[str] = set()
-        for entry in (e0, e1):
-            if entry is not None:
-                taint |= entry.taint
+        taint = set(t0.taint_of(index) | t1.taint_of(index))
         for table in (t0, t1):
             for prefetch in table.prefetches:
                 if prefetch.index == index:

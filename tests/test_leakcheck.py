@@ -55,14 +55,14 @@ class TestAbstractTableFidelity:
         for ip, paddr in _random_stream(seed, 400):
             event = LoadEvent(ip=ip, vaddr=paddr, paddr=paddr, hit_level=MemoryLevel.DRAM)
             concrete_targets.extend(r.paddr for r in concrete.observe(event, lambda v: v))
-            abstract.observe(ip, paddr)
+            abstract.load(ip, paddr)
         assert [p.target for p in abstract.prefetches] == concrete_targets
         concrete_state = {
             e.index: (e.last_paddr, e.stride, e.confidence) for e in concrete.entries()
         }
         abstract_state = {
             index: (e.last_paddr, e.stride, e.confidence)
-            for index, e in abstract.entries().items()
+            for index, e in abstract.live_entries().items()
         }
         assert abstract_state == concrete_state
 
@@ -72,7 +72,7 @@ class TestAbstractTableSemantics:
         table = AbstractTable(PARAMS)
         stride = stride_lines * CACHE_LINE_SIZE
         for i in range(3):
-            table.observe(0x4013A7, 0x100_0000 + i * stride)
+            table.load(0x4013A7, 0x100_0000 + i * stride)
         return table, stride
 
     def test_training_reaches_threshold_and_issues(self):
@@ -87,7 +87,7 @@ class TestAbstractTableSemantics:
         # even when the triggering load breaks the pattern.
         table, stride = self._trained()
         paddr = 0x100_0000 + 9 * stride  # off-pattern but same page
-        table.observe(0x4013A7, paddr)
+        table.load(0x4013A7, paddr)
         assert paddr + stride in table.prefetch_targets(0xA7)
         entry = table.entry(0xA7)
         assert entry.confidence == 1  # stride rewritten, confidence reset
@@ -98,7 +98,7 @@ class TestAbstractTableSemantics:
         stride = PARAMS.max_stride_bytes + CACHE_LINE_SIZE
         base = 0x100_0000
         for i in range(4):
-            table.observe(0x4013A7, base + i * stride)
+            table.load(0x4013A7, base + i * stride)
         assert table.entry(0xA7).confidence >= PARAMS.prefetch_threshold
         assert table.prefetch_targets(0xA7) == frozenset()
 
@@ -108,16 +108,15 @@ class TestAbstractTableSemantics:
         # Walk up to the end of the page: the last trigger would cross.
         base = 0x100_0000 + PAGE_SIZE - 4 * stride
         for i in range(4):
-            table.observe(0x4013A7, base + i * stride)
+            table.load(0x4013A7, base + i * stride)
         targets = table.prefetch_targets(0xA7)
         assert targets  # in-page triggers happened
         assert all(t // PAGE_SIZE == base // PAGE_SIZE for t in targets)
 
     def test_taint_accumulates_and_survives_rewrite(self):
         table, stride = self._trained()
-        table.observe(0x4013A7 + (1 << PARAMS.index_bits), 0x900_0000, frozenset({"secret"}))
-        entry = table.entry(0xA7)
-        assert "secret" in entry.taint
+        table.load(0x4013A7 + (1 << PARAMS.index_bits), 0x900_0000, frozenset({"secret"}))
+        assert "secret" in table.taint_of(0xA7)
         # The aliased load triggered a prefetch carrying the taint.
         assert any("secret" in p.taint for p in table.prefetches)
 
@@ -132,14 +131,14 @@ class TestAbstractTableSemantics:
         entry = table.entry(0xA7)
         assert entry.confidence == PARAMS.confidence_max
         assert entry.stride == 7 * CACHE_LINE_SIZE
-        assert entry.taint == frozenset()
+        assert table.taint_of(0xA7) == frozenset()
 
     def test_capacity_eviction(self):
         table = AbstractTable(PARAMS)
         n = PARAMS.n_entries
         for k in range(n + 1):
-            table.observe(0x40_0000 + k, 0x100_0000 + k * PAGE_SIZE)
-        assert len(table.entries()) == n
+            table.load(0x40_0000 + k, 0x100_0000 + k * PAGE_SIZE)
+        assert len(table.live_entries()) == n
 
 
 # --------------------------------------------------------------------- #
