@@ -53,8 +53,11 @@ class TaggedIPStridePrefetcher(Prefetcher):
 
     name = "ip-stride-tagged"
 
-    def __init__(self, params: IPStrideParams | None = None) -> None:
+    def __init__(
+        self, params: IPStrideParams | None = None, enable_next_page: bool = True
+    ) -> None:
         self.params = params if params is not None else IPStrideParams()
+        self.enable_next_page = enable_next_page
         self._slots: list[TaggedEntry | None] = [None] * self.params.n_entries
         self._key_to_slot: dict[tuple[int, int], int] = {}
         #: Slots holding a confidence-0 entry (see ``IPStridePrefetcher``).
@@ -109,7 +112,8 @@ class TaggedIPStridePrefetcher(Prefetcher):
         assert entry is not None
         requests: list[PrefetchRequest] = []
         if (
-            event.vaddr // PAGE_SIZE == entry.last_vaddr // PAGE_SIZE + 1
+            self.enable_next_page
+            and event.vaddr // PAGE_SIZE == entry.last_vaddr // PAGE_SIZE + 1
             and entry.confidence >= self.params.prefetch_threshold
         ):
             self._issue(event.paddr, entry.stride, requests)
@@ -178,6 +182,9 @@ def harden_machine(machine: Machine) -> TaggedIPStridePrefetcher:
     Returns the new prefetcher.  Existing attack objects keep working but
     stop leaking — the point of the exercise.
     """
-    tagged = TaggedIPStridePrefetcher(machine.params.prefetcher)
+    tagged = TaggedIPStridePrefetcher(
+        machine.params.prefetcher,
+        enable_next_page=machine.params.enable_next_page_prefetcher,
+    )
     machine.ip_stride = tagged  # type: ignore[assignment]
     return tagged

@@ -1,6 +1,8 @@
 """Tests for the §8.2 defense options: each must stop the leak (or, for
 the detector, demonstrably fail to see it) without breaking the owner."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,9 @@ from repro.defenses.oblivious import ObliviousBranchVictim
 from repro.defenses.tagged_prefetcher import TaggedIPStridePrefetcher, harden_machine
 from repro.defenses.toggles import disable_ip_stride_prefetcher
 from repro.memsys.hierarchy import MemoryLevel
-from repro.params import COFFEE_LAKE_I7_9700, PAGE_SIZE
+from repro.params import COFFEE_LAKE_I7_9700, PAGE_SIZE, IPStrideParams
 from repro.prefetch.base import LoadEvent
+from repro.prefetch.ip_stride import IPStridePrefetcher
 from repro.utils.rng import make_rng
 
 
@@ -77,6 +80,29 @@ class TestTaggedPrefetcher:
         results = [attack.run_round(i % 2) for i in range(8)]
         assert all(r.inferred_bit is None for r in results)
 
+    @pytest.mark.parametrize("next_page", [True, False])
+    def test_hardened_machine_keeps_the_next_page_switch(self, next_page):
+        """A confident pattern carries onto the next page only when the
+        machine's next-page prefetcher is on, tagged table or not."""
+        params = replace(COFFEE_LAKE_I7_9700.quiet(), enable_next_page_prefetcher=next_page)
+        stock = Machine(params, seed=74).ip_stride
+        tagged = harden_machine(Machine(params, seed=74))
+        stride = 7 * 64
+        base = 0x80_0000 + PAGE_SIZE - 4 * stride
+
+        def event(addr):
+            return LoadEvent(0x400010, addr, addr, MemoryLevel.DRAM)
+
+        for table in (stock, tagged):
+            for i in range(4):
+                table.observe(event(base + i * stride), lambda v: v)
+        on_next_page = event(base + 4 * stride)
+        expected = stock.observe_tlb_miss(on_next_page)
+        assert bool(expected) == next_page
+        assert [r.paddr for r in tagged.observe_tlb_miss(on_next_page)] == [
+            r.paddr for r in expected
+        ]
+
     def test_duck_type_surface(self):
         tagged = TaggedIPStridePrefetcher()
         assert tagged.entry_for_ip(0x1234) is None
@@ -134,6 +160,46 @@ def test_property_tagged_victims_match_linear_scan(ops):
             assert tagged._victim_slot() == reference._victim_slot()
         assert tagged.evictions == reference.evictions
         assert tagged._slots == reference._slots
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_tagged_table_matches_stock_table_without_aliasing(seed):
+    """With one ASID and IPs that differ in their low 8 bits, the (asid,
+    IP) key and the stock table's low-bit index pick the same entries, so
+    both tables must issue the same prefetches and hold the same state."""
+    rng = make_rng(seed)
+    ips = [0x40_0000 + (k << 8) + int(low)
+           for k, low in enumerate(rng.choice(256, size=40, replace=False))]
+    strides = [int(rng.choice([64, 448, -192, 3000])) for _ in ips]
+    base = 0x100_0000
+    last = {ip: base for ip in ips}
+    stock, tagged = IPStridePrefetcher(IPStrideParams()), TaggedIPStridePrefetcher()
+    stock_targets, tagged_targets = [], []
+    for _ in range(600):
+        k = int(rng.integers(0, len(ips)))
+        ip = ips[k]
+        # Mostly the IP's own stride (wrapping inside the 3 pages), so
+        # entries reach the trigger threshold; sometimes a random jump.
+        if rng.random() < 0.7:
+            addr = base + (last[ip] - base + strides[k]) % (3 * PAGE_SIZE)
+        else:
+            addr = base + int(rng.integers(0, 3 * PAGE_SIZE))
+        last[ip] = addr
+        event = LoadEvent(ip, addr, addr, MemoryLevel.DRAM)
+        if rng.random() < 0.1:
+            stock_targets += stock.observe_tlb_miss(event)
+            tagged_targets += tagged.observe_tlb_miss(event)
+        else:
+            stock_targets += stock.observe(event, lambda v: v)
+            tagged_targets += tagged.observe(event, lambda v: v)
+    assert [r.paddr for r in tagged_targets] == [r.paddr for r in stock_targets]
+    for ip in ips:
+        mine, theirs = tagged.entry_for(0, ip), stock.entry_for_ip(ip)
+        assert (mine is None) == (theirs is None)
+        if mine is not None:
+            assert (mine.last_paddr, mine.stride, mine.confidence) == (
+                theirs.last_paddr, theirs.stride, theirs.confidence
+            )
 
 
 class TestDisabledPrefetcher:

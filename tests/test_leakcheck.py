@@ -133,6 +133,20 @@ class TestAbstractTableSemantics:
         assert entry.stride == 7 * CACHE_LINE_SIZE
         assert table.taint_of(0xA7) == frozenset()
 
+    def test_pretrained_canary_is_never_a_confidence0_victim(self):
+        table = AbstractTable(PARAMS)
+        table.pretrain(0x4013A7, 0x100_0000, 7 * CACHE_LINE_SIZE)
+        fresh = [0x40_0000 + k for k in range(2 * PARAMS.n_entries)]
+        for k, ip in enumerate(fresh):
+            table.load(ip, 0x200_0000 + k * PAGE_SIZE)
+        # Each fresh entry was seen once (confidence 0), so every eviction
+        # past capacity takes one of them, never the canary.
+        live = table.live_entries()
+        assert table.evictions == len(fresh) - (PARAMS.n_entries - 1)
+        assert live.pop(0xA7).confidence == PARAMS.confidence_max
+        assert len(live) == PARAMS.n_entries - 1
+        assert all(entry.confidence == 0 for entry in live.values())
+
     def test_capacity_eviction(self):
         table = AbstractTable(PARAMS)
         n = PARAMS.n_entries
