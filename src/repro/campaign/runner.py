@@ -16,7 +16,7 @@ temporary store) all come through it.  It makes a campaign *complete*:
    plus ``campaign merge`` (:mod:`repro.fleet`).
 3. **Capped-backoff retries.**  Failed cells are collected and re-executed
    as a group, up to ``max_attempts`` rounds, sleeping
-   ``backoff_seconds * 2**(round-1)`` (capped at ``backoff_cap_seconds``)
+   ``BACKOFF_SECONDS * 2**(round-1)`` (capped at ``BACKOFF_CAP_SECONDS``)
    between rounds.  A retried cell reuses its derived seed, so a
    transient crash heals to the *identical* batch an undisturbed run
    produces — aggregates stay byte-for-byte stable.
@@ -49,6 +49,11 @@ if TYPE_CHECKING:
     from repro.fleet.partition import Shard
 
 RunCellFn = Callable[[CampaignCell], TrialBatch]
+
+#: Sleep before the first retry round; each later round doubles it, up to
+#: the cap.
+BACKOFF_SECONDS = 0.1
+BACKOFF_CAP_SECONDS = 2.0
 
 
 @dataclass
@@ -250,8 +255,6 @@ class CampaignRunner:
         store: TrialStore,
         jobs: int = 1,
         max_attempts: int = 3,
-        backoff_seconds: float = 0.1,
-        backoff_cap_seconds: float = 2.0,
         run_cell_fn: RunCellFn | None = None,
         telemetry: bool = False,
     ) -> None:
@@ -262,12 +265,8 @@ class CampaignRunner:
             )
         if max_attempts <= 0:
             raise ValueError(f"max_attempts must be positive, got {max_attempts}")
-        if backoff_seconds < 0 or backoff_cap_seconds < 0:
-            raise ValueError("backoff durations must be non-negative")
         self.store = store
         self.max_attempts = max_attempts
-        self.backoff_seconds = backoff_seconds
-        self.backoff_cap_seconds = backoff_cap_seconds
         self.run_cell_fn: RunCellFn = run_cell_fn or run_cell
         self.telemetry = telemetry
 
@@ -346,12 +345,7 @@ class CampaignRunner:
     # ----------------------------------------------------------------- #
 
     def _backoff(self, failed_rounds: int) -> None:
-        delay = min(
-            self.backoff_seconds * (2 ** (failed_rounds - 1)),
-            self.backoff_cap_seconds,
-        )
-        if delay > 0:
-            time.sleep(delay)
+        time.sleep(min(BACKOFF_SECONDS * 2 ** (failed_rounds - 1), BACKOFF_CAP_SECONDS))
 
     def _execute(
         self, cells: list[CampaignCell], timeline: Timeline

@@ -149,7 +149,6 @@ class TestFaultIsolationAndRetry:
         injected = CampaignRunner(
             TrialStore(tmp_path / "injected"),
             run_cell_fn=CrashOnce(tmp_path),
-            backoff_seconds=0.0,
         ).run(spec)
         assert injected.complete
         crashed = [o for o in injected.outcomes if o.attempts == 2]
@@ -163,7 +162,6 @@ class TestFaultIsolationAndRetry:
             TrialStore(tmp_path / "store"),
             run_cell_fn=CrashAlways(),
             max_attempts=2,
-            backoff_seconds=0.0,
         ).run(spec)
         assert not result.complete
         assert result.executed_count == spec.n_cells - 1
@@ -188,7 +186,7 @@ class TestFaultIsolationAndRetry:
         spec = small_spec()
         store = TrialStore(tmp_path / "store")
         broken = CampaignRunner(
-            store, run_cell_fn=CrashAlways(), max_attempts=1, backoff_seconds=0.0
+            store, run_cell_fn=CrashAlways(), max_attempts=1
         ).run(spec)
         assert len(broken.failed) == 1
         healed = CampaignRunner(store).run(spec)
@@ -201,7 +199,7 @@ class TestFaultIsolationAndRetry:
         clean = CampaignRunner(TrialStore(tmp_path / "clean")).run(spec)
         store = TrialStore(tmp_path / "resumed")
         CampaignRunner(
-            store, run_cell_fn=CrashAlways(), max_attempts=1, backoff_seconds=0.0
+            store, run_cell_fn=CrashAlways(), max_attempts=1
         ).run(spec)
         resumed = CampaignRunner(store).run(spec)
         assert canonical(clean.aggregates()) == canonical(resumed.aggregates())
@@ -269,5 +267,3 @@ class TestValidation:
                 CampaignRunner(store, jobs=jobs)
         with pytest.raises(ValueError, match="max_attempts"):
             CampaignRunner(store, max_attempts=0)
-        with pytest.raises(ValueError, match="backoff"):
-            CampaignRunner(store, backoff_seconds=-1.0)

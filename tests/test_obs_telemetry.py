@@ -182,9 +182,8 @@ class TestCampaignTelemetry:
             TrialStore(tmp_path / "store"),
             telemetry=True,
             max_attempts=3,
-            backoff_seconds=0.01,
             run_cell_fn=CrashAlways(repeat=0),
         ).run(tiny_spec())
         assert [record.ok for record in result.telemetry.records] == [False] * 3
-        # two backoffs between three rounds: 0.01 s, then 0.02 s
-        assert result.telemetry.measured["backoff"] >= 0.03
+        # two backoffs between three rounds: 0.1 s, then 0.2 s
+        assert result.telemetry.measured["backoff"] >= 0.3
