@@ -98,11 +98,12 @@ def _diff(
     t0: AbstractTable, t1: AbstractTable
 ) -> dict[int, tuple[set[str], set[str]]]:
     """index → (divergence kinds, responsible taint) between two runs."""
-    indexes = set(t0.live_entries()) | set(t1.live_entries())
+    live0, live1 = t0.live_entries(), t1.live_entries()
+    indexes = set(live0) | set(live1)
     indexes |= {p.index for p in t0.prefetches} | {p.index for p in t1.prefetches}
     result: dict[int, tuple[set[str], set[str]]] = {}
     for index in indexes:
-        e0, e1 = t0.entry(index), t1.entry(index)
+        e0, e1 = live0.get(index), live1.get(index)
         kinds: set[str] = set()
         if (e0 is None) != (e1 is None):
             kinds.add("existence")

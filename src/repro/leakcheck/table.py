@@ -87,10 +87,6 @@ class AbstractTable(IPStridePrefetcher):
     # Introspection                                                       #
     # ------------------------------------------------------------------ #
 
-    def entry(self, index: int) -> IPStrideEntry | None:
-        slot = self._index_to_slot.get(index)
-        return None if slot is None else self._slots[slot]
-
     def live_entries(self) -> dict[int, IPStrideEntry]:
         """Live entries, keyed by table index."""
         return {entry.index: entry for entry in self.entries()}

@@ -77,7 +77,7 @@ class TestAbstractTableSemantics:
 
     def test_training_reaches_threshold_and_issues(self):
         table, stride = self._trained()
-        entry = table.entry(0xA7)
+        entry = table.live_entries()[0xA7]
         assert entry.confidence == PARAMS.prefetch_threshold
         assert entry.stride == stride
         assert table.prefetch_targets(0xA7) == {0x100_0000 + 3 * stride}
@@ -89,7 +89,7 @@ class TestAbstractTableSemantics:
         paddr = 0x100_0000 + 9 * stride  # off-pattern but same page
         table.load(0x4013A7, paddr)
         assert paddr + stride in table.prefetch_targets(0xA7)
-        entry = table.entry(0xA7)
+        entry = table.live_entries()[0xA7]
         assert entry.confidence == 1  # stride rewritten, confidence reset
         assert entry.stride != stride
 
@@ -99,7 +99,7 @@ class TestAbstractTableSemantics:
         base = 0x100_0000
         for i in range(4):
             table.load(0x4013A7, base + i * stride)
-        assert table.entry(0xA7).confidence >= PARAMS.prefetch_threshold
+        assert table.live_entries()[0xA7].confidence >= PARAMS.prefetch_threshold
         assert table.prefetch_targets(0xA7) == frozenset()
 
     def test_page_boundary_drop(self):
@@ -128,7 +128,7 @@ class TestAbstractTableSemantics:
     def test_pretrain_installs_saturated_untainted_entry(self):
         table = AbstractTable(PARAMS)
         table.pretrain(0x4013A7, 0x100_0000, 7 * CACHE_LINE_SIZE)
-        entry = table.entry(0xA7)
+        entry = table.live_entries()[0xA7]
         assert entry.confidence == PARAMS.confidence_max
         assert entry.stride == 7 * CACHE_LINE_SIZE
         assert table.taint_of(0xA7) == frozenset()
