@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-sanitize lint lint-fast lint-json lint-changed leakcheck leakcheck-scan bench-figures campaign campaign-smoke fleet-smoke kernel-equivalence perfbench-check check
+.PHONY: test test-sanitize lint lint-json lint-changed leakcheck leakcheck-scan bench-figures campaign campaign-smoke fleet-smoke kernel-equivalence perfbench-check check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -11,13 +11,10 @@ test:
 test-sanitize:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q
 
-# Full pass: syntactic rules + the CFG/dataflow rules (RL014, RL015, RL018).
+# Every rule in one pass: the syntactic rules and the CFG/dataflow rules
+# (RL014, RL015, RL018) share one parse and one CFG per file.
 lint:
 	$(PYTHON) -m repro.lint src tests benchmarks examples
-
-# Syntactic rules only (the flow pass dominates lint wall time).
-lint-fast:
-	$(PYTHON) -m repro.lint src tests benchmarks examples --no-flow
 
 lint-json:
 	$(PYTHON) -m repro.lint src tests benchmarks examples --format json

@@ -95,13 +95,10 @@ class SwitchCaseLeak:
                 disturbed.append(name)
         return disturbed
 
-    def run_round(
-        self, run_victim: Callable[[], str | None], retrain: bool = True
-    ) -> SwitchLeakResult:
+    def run_round(self, run_victim: Callable[[], str | None]) -> SwitchLeakResult:
         """Train → victim → observe.  ``run_victim`` executes the victim's
         switch and returns the ground-truth arm (for scoring)."""
-        if retrain:
-            self.train()
+        self.train()
         true_arm = run_victim()
         disturbed = self.observe()
         inferred = disturbed[0] if len(disturbed) == 1 else None

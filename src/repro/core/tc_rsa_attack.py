@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.channels.psc import PrefetcherStatusCheck
 from repro.cpu.machine import Machine
 from repro.crypto.primes import RSAKey
-from repro.crypto.rsa import MontgomeryLadderVictim, TimingConstantLadderVictim
+from repro.crypto.rsa import TimingConstantLadderVictim
 from repro.params import PAGE_SIZE
 from repro.utils.bits import low_bits
 from repro.utils.rng import derive_rng
@@ -108,7 +108,6 @@ class TimingConstantRSAAttack:
         machine: Machine,
         key: RSAKey,
         stride_lines: int = 7,
-        timing_constant: bool = True,
         sync_slip_prob: float | None = None,
     ) -> None:
         self.machine = machine
@@ -121,9 +120,8 @@ class TimingConstantRSAAttack:
         self.victim_ctx = machine.new_thread("rsa-victim", space)
         self.attacker_ctx = machine.new_thread("rsa-attacker")
         operands = machine.new_buffer(space, 4 * PAGE_SIZE, name="rsa-operands")
-        victim_cls = TimingConstantLadderVictim if timing_constant else MontgomeryLadderVictim
         code = machine.code_region(0x0040_0000, name="mbedtls-bignum")
-        self.victim = victim_cls(machine, self.victim_ctx, code, operands)
+        self.victim = TimingConstantLadderVictim(machine, self.victim_ctx, code, operands)
 
         machine.context_switch(self.attacker_ctx)
         train_buffer = machine.new_buffer(

@@ -81,7 +81,7 @@ class MergeConflictError(Exception):
 
 @dataclass
 class MergeReport:
-    """What one merge did (or would do, for ``dry_run``)."""
+    """What one merge did."""
 
     dest: str
     sources: list[str]
@@ -119,9 +119,7 @@ class MergeReport:
         return "\n".join(lines)
 
 
-def merge_stores(
-    dest: str | Path, sources: list[str | Path], dry_run: bool = False
-) -> MergeReport:
+def merge_stores(dest: str | Path, sources: list[str | Path]) -> MergeReport:
     """Union ``sources`` into the store at ``dest``.
 
     The destination participates in conflict detection like any source —
@@ -172,11 +170,10 @@ def merge_stores(
         raise MergeConflictError(conflicts)
 
     report.dest_cells = len(combined)
-    if not dry_run:
-        fresh = {
-            key: record
-            for key, (_prov, _canon, record) in combined.items()
-            if key not in dest_store
-        }
-        dest_store.write_records(fresh)
+    fresh = {
+        key: record
+        for key, (_prov, _canon, record) in combined.items()
+        if key not in dest_store
+    }
+    dest_store.write_records(fresh)
     return report

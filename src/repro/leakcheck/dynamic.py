@@ -13,21 +13,6 @@ analyzer's witness secrets?
 The machine is seeded identically per secret, so for a genuinely
 secret-independent victim the two runs are bit-for-bit identical and the
 oracle reports safe with zero noise floor.
-
-With ``via_trace=True`` the PSC read is answered from the machine's own
-``TableTransition`` event stream (repro.obs) instead of polling the
-canaries: the last transition touching each canary's index tells whether
-the trained entry survived with its stride and confidence intact — the
-exact condition under which a poll load would re-trigger.  Unlike a real
-poll, reading the trace does not itself perturb the table, and it has no
-page-boundary blind spot: a real poll whose progression would run off the
-page first jumps to a fresh page and retrains
-(:meth:`~repro.channels.psc.PrefetcherStatusCheck._ensure_capacity`),
-which restores the entry and masks any victim disturbance for that one
-observation.  The trace read therefore refines the poll — it can report
-``False`` (victim executed) where a retraining poll reports ``True``,
-never the reverse — while the differential :func:`dynamic_leaky` verdict
-is preserved.
 """
 
 from __future__ import annotations
@@ -36,13 +21,9 @@ from dataclasses import dataclass, replace
 
 from repro.channels.psc import PrefetcherStatusCheck
 from repro.cpu.machine import Machine
-from repro.leakcheck.analyzer import ATTACKER_CODE_BASE, canary_plan, region_bases
+from repro.leakcheck.analyzer import ATTACKER_CODE_BASE, canary_plan
 from repro.leakcheck.trace import VictimSpec
-from repro.obs.events import TableTransition, TraceEvent
-from repro.obs.sinks import RingBufferSink
-from repro.obs.tracer import Tracer
 from repro.params import CACHE_LINE_SIZE, PAGE_SIZE, COFFEE_LAKE_I7_9700, MachineParams
-from repro.utils.bits import low_bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,46 +51,14 @@ def _oracle_params(params: MachineParams | None) -> MachineParams:
     )
 
 
-def _trace_triggered(
-    events: list[TraceEvent], index: int, expected_stride: int, threshold: int
-) -> bool:
-    """Would a PSC poll of ``index`` re-trigger, judging from the trace?
-
-    ``events`` is the slice of the event stream covering the victim's
-    execution.  A poll re-triggers exactly when the trained entry is still
-    live at its index with the trained stride and confidence at or above
-    the prefetch threshold — i.e. when the victim left it alone (no
-    transition at all) or its last transition kept that state.  (A real
-    poll additionally reads ``True`` whenever its progression crossed a
-    page and retrained first; see the module docstring.)
-    """
-    last: TableTransition | None = None
-    for event in events:
-        if not isinstance(event, TableTransition):
-            continue
-        if event.transition == "clear" or event.index == index:
-            last = event
-    if last is None:
-        return True
-    if last.after is None:  # evicted or cleared away
-        return False
-    return last.after.stride == expected_stride and last.after.confidence >= threshold
-
-
 def observe(
     spec: VictimSpec,
     secret: int,
     params: MachineParams | None = None,
     seed: int = 0,
-    via_trace: bool = False,
 ) -> Observation:
-    """Run attacker-train → victim-trace → attacker-read for one secret.
-
-    ``via_trace=True`` derives the PSC verdicts from ``TableTransition``
-    events instead of polling the canaries (see module docstring).
-    """
-    tracer = Tracer([RingBufferSink(capacity=None)]) if via_trace else None
-    machine = Machine(_oracle_params(params), seed=seed, trace=tracer)
+    """Run attacker-train → victim-trace → attacker-read for one secret."""
+    machine = Machine(_oracle_params(params), seed=seed)
     attacker = machine.new_thread("attacker")
     victim = machine.new_thread("victim")
 
@@ -127,8 +76,6 @@ def observe(
     machine.context_switch(attacker)
     attacker_code = machine.code_region(ATTACKER_CODE_BASE, name="leakcheck-attacker")
     monitors = []
-    canary_indexes: list[tuple[int, int]] = []  # (table index, trained stride bytes)
-    index_bits = machine.params.prefetcher.index_bits
     for k, (train_ip, _base, stride_bytes) in enumerate(canary_plan(spec, machine.params.prefetcher)):
         local_ip = attacker_code.place_aliasing(f"canary{k}", train_ip)
         buffer = machine.new_buffer(
@@ -138,11 +85,9 @@ def observe(
         monitor = PrefetcherStatusCheck(machine, attacker, local_ip, buffer, stride_lines)
         monitor.train()
         monitors.append(monitor)
-        canary_indexes.append((low_bits(local_ip, index_bits), stride_lines * CACHE_LINE_SIZE))
 
     # Victim replays its trace (every load TLB-resident, as in §4.3).
     machine.context_switch(victim)
-    replay_start = len(machine.tracer.events()) if via_trace else 0
     direct: dict[str, set[int]] = {region: set() for region in buffers}
     for load in spec.trace(secret):
         vaddr = buffers[load.region].addr(load.offset)
@@ -162,18 +107,9 @@ def observe(
         }
         footprints.append((region, frozenset(cached)))
 
-    # AfterImage-PSC read: from the table-transition trace, or by polling
-    # every canary once.
-    if via_trace:
-        replay_events = machine.tracer.events()[replay_start:]
-        threshold = machine.params.prefetcher.prefetch_threshold
-        triggered = tuple(
-            _trace_triggered(replay_events, index, stride, threshold)
-            for index, stride in canary_indexes
-        )
-    else:
-        machine.context_switch(attacker)
-        triggered = tuple(monitor.check().prefetcher_triggered for monitor in monitors)
+    # AfterImage-PSC read: poll every canary once.
+    machine.context_switch(attacker)
+    triggered = tuple(monitor.check().prefetcher_triggered for monitor in monitors)
     return Observation(psc_triggered=triggered, footprints=tuple(footprints))
 
 
@@ -181,14 +117,13 @@ def dynamic_leaky(
     spec: VictimSpec,
     params: MachineParams | None = None,
     seed: int = 0,
-    via_trace: bool = False,
 ) -> bool:
     """True when the attacker's observation separates some witness pair."""
     cache: dict[int, Observation] = {}
 
     def observed(secret: int) -> Observation:
         if secret not in cache:
-            cache[secret] = observe(spec, secret, params=params, seed=seed, via_trace=via_trace)
+            cache[secret] = observe(spec, secret, params=params, seed=seed)
         return cache[secret]
 
     mask = (1 << spec.secret_bits) - 1

@@ -9,16 +9,15 @@ reaching into another component's private state, hot per-cycle objects kept
 allocation-lean.  ``repro.lint`` enforces those conventions over the AST.
 
 Beyond the single-node syntactic rules, :mod:`repro.lint.flow` adds an
-intraprocedural CFG + fixpoint dataflow layer (on by default; disable
-with ``--no-flow``): taint tracking from nondeterminism sources into
-trial/seed/trace sinks (RL014/RL015), span/sink pairing (RL018),
-alias-aware upgrades of RL001/RL003/RL008, and dead-branch suppression
-of their false positives.
+intraprocedural CFG + fixpoint dataflow layer, built for every linted
+file: taint tracking from nondeterminism sources into trial/seed/trace
+sinks (RL014/RL015), span/sink pairing (RL018), alias-aware upgrades of
+RL001/RL003/RL008, and dead-branch suppression of their false positives.
 
 Usage::
 
     python -m repro.lint src tests benchmarks [--format=json]
-    afterimage lint [paths ...] [--no-flow] [--changed]
+    afterimage lint [paths ...] [--changed]
 
 Findings can be suppressed per line with ``# repro: noqa[RLxxx]`` (or a
 bare ``# repro: noqa`` to suppress every rule).  See ``docs/LINT.md`` for

@@ -59,9 +59,6 @@ class Rule:
     rule_id: ClassVar[str]
     title: ClassVar[str]
     hint: ClassVar[str]
-    #: Rules that consume the CFG/dataflow pass set this; the engine skips
-    #: them when linting with ``flow=False`` (``--no-flow``).
-    requires_flow: ClassVar[bool] = False
 
     def applies_to(self, path: str) -> bool:
         """Whether the rule runs on ``path`` (posix-style, repo-relative)."""

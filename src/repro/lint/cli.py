@@ -68,13 +68,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--flow",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="run the CFG/dataflow pass: flow rules RL014, RL015 and RL018, "
-        "alias-aware RL001/RL003/RL008, dead-branch filtering (default: on)",
-    )
-    parser.add_argument(
         "--changed",
         action="store_true",
         help="lint only files changed vs HEAD (git diff + untracked), "
@@ -85,8 +78,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.list_rules:
         for rule_cls in ALL_RULES:
-            flow_tag = "  [flow]" if rule_cls.requires_flow else ""
-            print(f"{rule_cls.rule_id}  {rule_cls.title}{flow_tag}")
+            print(f"{rule_cls.rule_id}  {rule_cls.title}")
         return 0
 
     paths = list(args.paths)
@@ -103,7 +95,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     only = args.select.split(",") if args.select else None
     timings: dict[str, float] = {}
     try:
-        findings, n_files = lint_paths(paths, only=only, flow=args.flow, timings=timings)
+        findings, n_files = lint_paths(paths, only=only, timings=timings)
     except (FileNotFoundError, ValueError) as error:
         print(f"repro.lint: {error}", file=sys.stderr)
         return 2

@@ -1,5 +1,9 @@
 """Lint driver: file discovery, AST contexts, suppression, rendering.
 
+Every linted file gets one pass: its AST and its CFG/dataflow context
+(:class:`~repro.lint.flow.FlowContext`) are built once, and every rule,
+syntactic or flow, reads the same :class:`FileContext`.
+
 The engine is deliberately dependency-free (stdlib ``ast`` only) so the
 ``lint`` extra installs nothing: the same container that runs the simulator
 can gate its own CI.
@@ -27,13 +31,7 @@ SYNTAX_RULE_ID = "RL000"
 
 @dataclass(frozen=True, slots=True)
 class Finding:
-    """One lint finding, stable across text and JSON renderings.
-
-    ``via_flow`` marks findings produced by a flow-aware extension of a
-    syntactic rule (alias tracking); when a flow finding and its
-    line-based counterpart land on the same ``(path, line, rule)``,
-    :func:`lint_source` keeps only the flow one.
-    """
+    """One lint finding, stable across text and JSON renderings."""
 
     rule: str
     path: str
@@ -41,23 +39,32 @@ class Finding:
     col: int
     message: str
     hint: str
-    via_flow: bool = False
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message} [hint: {self.hint}]"
 
 
 class FileContext:
-    """Parsed source plus the helpers rules need (paths, parents, lines)."""
+    """Parsed source plus the helpers rules need (paths, parents, lines,
+    and the file's CFG/dataflow state in ``flow``)."""
 
-    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
+    def __init__(
+        self,
+        path: str,
+        source: str,
+        tree: ast.Module,
+        timings: dict[str, float] | None = None,
+    ) -> None:
         self.path = path
         self.source = source
         self.tree = tree
         self.lines = source.splitlines()
-        #: CFG/dataflow state, attached by :func:`lint_source` when the
-        #: flow pass is on; rules with ``requires_flow`` read it.
-        self.flow: FlowContext | None = None
+        started = perf_counter()
+        self.flow = FlowContext(tree)
+        if timings is not None:
+            timings["flow-build"] = timings.get("flow-build", 0.0) + (
+                perf_counter() - started
+            )
         self._parents: dict[ast.AST, ast.AST] = {}
         for parent in ast.walk(tree):
             for child in ast.iter_child_nodes(parent):
@@ -75,9 +82,7 @@ class FileContext:
             yield current
             current = self._parents.get(current)
 
-    def finding(
-        self, rule: Rule, node: ast.AST, message: str, *, via_flow: bool = False
-    ) -> Finding:
+    def finding(self, rule: Rule, node: ast.AST, message: str) -> Finding:
         return Finding(
             rule=rule.rule_id,
             path=self.path,
@@ -85,7 +90,6 @@ class FileContext:
             col=getattr(node, "col_offset", 0),
             message=message,
             hint=rule.hint,
-            via_flow=via_flow,
         )
 
     def suppressed(self, finding: Finding) -> bool:
@@ -123,18 +127,16 @@ def lint_source(
     path: str,
     rules: Sequence[Rule] | None = None,
     *,
-    flow: bool = False,
     timings: dict[str, float] | None = None,
 ) -> list[Finding]:
     """Lint one source string presented as ``path`` (rules scope by path).
 
-    With ``flow=True`` a :class:`~repro.lint.flow.context.FlowContext`
-    (CFGs + taint fixpoints) is built once for the file: the flow rules
-    (``requires_flow``) run, the syntactic rules gain their flow-aware
-    extensions, and findings of the dead-code-filtered rules landing on
-    CFG-unreachable lines are dropped.  ``timings``, when given, is
-    updated in place with cumulative per-rule wall seconds (plus a
-    ``"flow-build"`` entry for CFG/fixpoint construction).
+    A :class:`~repro.lint.flow.context.FlowContext` (CFGs + taint
+    fixpoints) is built once for the file and shared by every rule;
+    findings of the dead-code-filtered rules landing on CFG-unreachable
+    lines are dropped.  ``timings``, when given, is updated in place with
+    cumulative per-rule wall seconds (plus a ``"flow-build"`` entry for
+    CFG/fixpoint construction).
     """
     normalized = Path(path).as_posix()
     try:
@@ -150,18 +152,9 @@ def lint_source(
                 hint="fix the syntax error; nothing else was checked",
             )
         ]
-    ctx = FileContext(normalized, source, tree)
-    if flow:
-        started = perf_counter()
-        ctx.flow = FlowContext(tree)
-        if timings is not None:
-            timings["flow-build"] = timings.get("flow-build", 0.0) + (
-                perf_counter() - started
-            )
+    ctx = FileContext(normalized, source, tree, timings)
     findings: list[Finding] = []
     for rule in rules if rules is not None else _make_rules():
-        if rule.requires_flow and ctx.flow is None:
-            continue
         if not rule.applies_to(ctx.path):
             continue
         started = perf_counter()
@@ -174,33 +167,13 @@ def lint_source(
             if ctx.suppressed(finding):
                 continue
             if (
-                ctx.flow is not None
-                and finding.rule in DEAD_CODE_FILTERED_RULES
+                finding.rule in DEAD_CODE_FILTERED_RULES
                 and finding.line in ctx.flow.dead_lines
             ):
                 continue  # the flagged call sits in a CFG-dead branch
             findings.append(finding)
-    findings = _dedup_flow_overlaps(findings)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
-
-
-def _dedup_flow_overlaps(findings: list[Finding]) -> list[Finding]:
-    """Collapse a flow-aware finding and its syntactic counterpart.
-
-    When an alias-upgraded rule (``via_flow``) and the line-based check of
-    the *same* rule both fire on one ``(path, line, rule)`` — e.g.
-    ``hash = hash`` followed by ``hash(x)`` on the flagged line — only the
-    flow finding survives: it carries the alias provenance in its message.
-    """
-    flow_keys = {
-        (f.path, f.line, f.rule) for f in findings if f.via_flow
-    }
-    return [
-        f
-        for f in findings
-        if f.via_flow or (f.path, f.line, f.rule) not in flow_keys
-    ]
 
 
 def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
@@ -219,7 +192,6 @@ def lint_paths(
     paths: Sequence[str | Path],
     only: Iterable[str] | None = None,
     *,
-    flow: bool = False,
     timings: dict[str, float] | None = None,
 ) -> tuple[list[Finding], int]:
     """Lint files/trees; return (findings, files_checked)."""
@@ -229,9 +201,7 @@ def lint_paths(
     for file_path in iter_python_files(paths):
         n_files += 1
         findings.extend(
-            lint_source(
-                file_path.read_text(), str(file_path), rules, flow=flow, timings=timings
-            )
+            lint_source(file_path.read_text(), str(file_path), rules, timings=timings)
         )
     return findings, n_files
 
@@ -262,9 +232,3 @@ def render_json(
         }
     return json.dumps(payload, indent=2)
 
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Deprecated shim — the CLI moved to :mod:`repro.lint.cli`."""
-    from repro.lint.cli import main as cli_main
-
-    return cli_main(argv)

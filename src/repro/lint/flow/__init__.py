@@ -40,10 +40,10 @@ from repro.lint.flow.taint import (
     taint_of,
 )
 
-#: Rules whose syntactic findings are dropped when they sit in CFG-dead
-#: code (``if False:`` branches, statements after an unconditional
-#: return/raise) — the flow-aware "fewer false positives" half of the
-#: RL001/RL003/RL008 upgrade.
+#: Rules whose findings the engine drops when they sit in CFG-dead code
+#: (``if False:`` branches, statements after an unconditional
+#: return/raise): their syntactic checks walk the whole AST, so without
+#: the filter a banned call nothing can reach would still be flagged.
 DEAD_CODE_FILTERED_RULES = frozenset({"RL001", "RL003", "RL008"})
 
 __all__ = [

@@ -155,7 +155,11 @@ class FlowContext:
 
     def alias_calls(self) -> list[tuple[str, ast.Call]]:
         """Calls through aliases of banned functions, plus dynamic random
-        imports: ("wall-clock"|"hash"|"random-import", call node)."""
+        imports: ("wall-clock"|"hash"|"random-import", call node).
+
+        A call spelled ``hash(...)`` is left to RL008's syntactic check,
+        which flags it whatever ``hash`` is bound to, so no call is
+        reported twice."""
         if self._alias_calls is None:
             found: list[tuple[str, ast.Call]] = []
             for scope in self.scopes:
@@ -169,7 +173,7 @@ class FlowContext:
                         kinds = {kind for kind, _line in labels}
                         if KIND_ALIAS_WALLCLOCK in kinds:
                             found.append(("wall-clock", call))
-                        if KIND_ALIAS_HASH in kinds:
+                        if KIND_ALIAS_HASH in kinds and call.func.id != "hash":
                             found.append(("hash", call))
             self._alias_calls = found
         return self._alias_calls

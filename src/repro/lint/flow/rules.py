@@ -1,11 +1,10 @@
 """Flow rules RL014, RL015 and RL018: determinism taint and span/sink
 pairing.
 
-These rules consume the per-file :class:`~repro.lint.flow.context.FlowContext`
-the engine attaches when the flow pass is enabled.  They are registered in
-``ALL_RULES`` like every syntactic rule — same noqa suppression, same JSON
-rendering, same ``--select`` handling — but carry ``requires_flow`` and are
-skipped when the flow pass is off.
+These rules read the per-file :class:`~repro.lint.flow.context.FlowContext`
+the engine builds for every linted file (``ctx.flow``).  They are
+registered in ``ALL_RULES`` like every syntactic rule — same noqa
+suppression, same JSON rendering, same ``--select`` handling.
 
 * **RL014/RL015 (determinism taint)** — values originating from
   wall-clock reads, unseeded RNG construction, ``id()``, OS entropy and
@@ -29,9 +28,9 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING
 
-from repro.lint.flow.context import FlowContext, Scope, iter_calls_with_env
+from repro.lint.flow.context import Scope, iter_calls_with_env
 from repro.lint.flow.solver import assigned_names
 from repro.lint.flow.taint import (
     DETERMINISM_KINDS,
@@ -44,15 +43,6 @@ from repro.lint.base import Rule, _is_test_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.engine import FileContext, Finding
-
-
-class FlowRule(Rule):
-    """A rule that needs the CFG/dataflow pass (skipped when flow is off)."""
-
-    requires_flow: ClassVar[bool] = True
-
-    def flow(self, ctx: "FileContext") -> FlowContext | None:
-        return getattr(ctx, "flow", None)
 
 
 def _describe_labels(labels: frozenset[Label]) -> str:
@@ -114,7 +104,7 @@ def _trial_sink(call: ast.Call) -> str | None:
     return None
 
 
-class DeterminismTrialTaintRule(FlowRule):
+class DeterminismTrialTaintRule(Rule):
     """RL014 — a nondeterministic value reaches a persisted result object.
 
     Trial/TrialBatch fields and trace-event payloads are exactly the data
@@ -132,10 +122,7 @@ class DeterminismTrialTaintRule(FlowRule):
         return not _is_test_path(path)
 
     def check(self, ctx: "FileContext") -> Iterator["Finding"]:
-        flow = self.flow(ctx)
-        if flow is None:
-            return
-        for scope in flow.scopes:
+        for scope in ctx.flow.scopes:
             for item, env in scope.items_with_env():
                 for call, call_env in iter_calls_with_env(item, env):
                     sink = _trial_sink(call)
@@ -170,7 +157,7 @@ def _seed_sink(call: ast.Call) -> str | None:
     return None
 
 
-class SeedTaintRule(FlowRule):
+class SeedTaintRule(Rule):
     """RL015 — a nondeterministic value reaches a seed or content hash.
 
     Seeds and cell content hashes are the roots of the reproducibility
@@ -188,10 +175,7 @@ class SeedTaintRule(FlowRule):
         return not _is_test_path(path)
 
     def check(self, ctx: "FileContext") -> Iterator["Finding"]:
-        flow = self.flow(ctx)
-        if flow is None:
-            return
-        for scope in flow.scopes:
+        for scope in ctx.flow.scopes:
             for item, env in scope.items_with_env():
                 for call, call_env in iter_calls_with_env(item, env):
                     sink = _seed_sink(call)
@@ -253,7 +237,7 @@ def _span_event(call: ast.Call) -> tuple[str, str | None] | None:
     return which, None
 
 
-class SpanSinkPairingRule(FlowRule):
+class SpanSinkPairingRule(Rule):
     """RL018 — an explicit SpanBegin emit or sink construction can reach
     scope exit without its SpanEnd / ``close()``.
 
@@ -277,10 +261,7 @@ class SpanSinkPairingRule(FlowRule):
         return not _is_test_path(path)
 
     def check(self, ctx: "FileContext") -> Iterator["Finding"]:
-        flow = self.flow(ctx)
-        if flow is None:
-            return
-        for scope in flow.function_scopes():
+        for scope in ctx.flow.function_scopes():
             # The profiler's Span halves publish one unpaired event each
             # by design; a ``close()`` forwarding closes discharges its own.
             if scope.name in ("__enter__", "__exit__", "close"):

@@ -60,16 +60,11 @@ class StdlibRandomRule(Rule):
                     yield ctx.finding(self, node, "`from random import ...` uses the process-global RNG")
         # Flow-aware: dynamic imports (`__import__("random")`) that the
         # syntactic import scan above cannot see.
-        flow = getattr(ctx, "flow", None)
-        if flow is not None:
-            for kind, call in flow.alias_calls():
-                if kind == "random-import":
-                    yield ctx.finding(
-                        self,
-                        call,
-                        "dynamic import of the process-global `random` module",
-                        via_flow=True,
-                    )
+        for kind, call in ctx.flow.alias_calls():
+            if kind == "random-import":
+                yield ctx.finding(
+                    self, call, "dynamic import of the process-global `random` module"
+                )
 
 
 class NumpyRngRule(Rule):
@@ -133,16 +128,11 @@ class WallClockRule(Rule):
                     yield ctx.finding(self, node, f"imports wall-clock function(s): {', '.join(banned)}")
         # Flow-aware: calls through aliases of wall-clock functions
         # (`t = time.time; ...; t()`), invisible to the dotted-name scan.
-        flow = getattr(ctx, "flow", None)
-        if flow is not None:
-            for kind, call in flow.alias_calls():
-                if kind == "wall-clock":
-                    yield ctx.finding(
-                        self,
-                        call,
-                        "call through an alias of a wall-clock function",
-                        via_flow=True,
-                    )
+        for kind, call in ctx.flow.alias_calls():
+            if kind == "wall-clock":
+                yield ctx.finding(
+                    self, call, "call through an alias of a wall-clock function"
+                )
 
 
 class FloatEqualityRule(Rule):
@@ -366,16 +356,9 @@ class UnstableHashRule(Rule):
             ):
                 yield ctx.finding(self, node, "builtin hash() result varies across processes")
         # Flow-aware: calls through aliases of hash (`h = hash; h(x)`).
-        flow = getattr(ctx, "flow", None)
-        if flow is not None:
-            for kind, call in flow.alias_calls():
-                if kind == "hash":
-                    yield ctx.finding(
-                        self,
-                        call,
-                        "call through an alias of builtin hash()",
-                        via_flow=True,
-                    )
+        for kind, call in ctx.flow.alias_calls():
+            if kind == "hash":
+                yield ctx.finding(self, call, "call through an alias of builtin hash()")
 
 
 class MutableDefaultRule(Rule):

@@ -240,12 +240,6 @@ class TestMerge:
         assert report.merged == 1
         assert report.dest_cells == 2
 
-    def test_dry_run_writes_nothing(self, tmp_path):
-        self.seed_store(tmp_path / "src")
-        report = merge_stores(tmp_path / "dest", [tmp_path / "src"], dry_run=True)
-        assert report.merged == 1
-        assert len(TrialStore(tmp_path / "dest")) == 0
-
     def test_corrupt_source_lines_are_skipped_and_counted(self, tmp_path):
         self.seed_store(tmp_path / "src")
         shard = tmp_path / "src" / "shards" / "ab.jsonl"

@@ -19,9 +19,9 @@ LINTED_TREES = ("src", "tests", "benchmarks", "examples")
 
 def test_repository_lints_clean():
     paths = [REPO_ROOT / tree for tree in LINTED_TREES if (REPO_ROOT / tree).is_dir()]
-    # flow=True: the tree must also pass the CFG/dataflow rules
-    # (RL014, RL015, RL018 and the alias-aware RL001/RL003/RL008 upgrades).
-    findings, n_files = lint_paths(paths, flow=True)
+    # The tree must pass every rule, the CFG/dataflow ones (RL014, RL015,
+    # RL018 and the alias-aware RL001/RL003/RL008 upgrades) included.
+    findings, n_files = lint_paths(paths)
     assert n_files > 100, f"lint walked only {n_files} files — wrong repo root?"
     rendered = "\n".join(finding.render() for finding in findings)
     assert not findings, f"repro.lint found violations:\n{rendered}"

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.lint.engine import lint_source, render_json
+from repro.lint.engine import Finding, lint_source, render_json
 
 #: Non-test paths the flow rules' applies_to accepts.
 ATTACKS_PATH = "src/repro/attacks/example.py"
@@ -20,8 +20,8 @@ CORE_PATH = "src/repro/core/example.py"
 TEST_PATH = "tests/test_example.py"
 
 
-def lint(source: str, path: str = ATTACKS_PATH, flow: bool = True):
-    return lint_source(source, path, flow=flow)
+def lint(source: str, path: str = ATTACKS_PATH):
+    return lint_source(source, path)
 
 
 def rule_ids(findings) -> list[str]:
@@ -49,9 +49,6 @@ def run_one():
 class TestDeterminismTrialTaint:
     def test_unseeded_rng_draw_reaching_trial_is_flagged(self):
         assert "RL014" in rule_ids(lint(UNSEEDED_RNG_INTO_TRIAL))
-
-    def test_flow_off_disables_the_rule(self):
-        assert "RL014" not in rule_ids(lint(UNSEEDED_RNG_INTO_TRIAL, flow=False))
 
     def test_wallclock_through_arithmetic_into_trialbatch(self):
         source = (
@@ -332,13 +329,6 @@ class TestSpanSinkPairing:
         )
         assert "RL018" not in rule_ids(lint(source, path=TEST_PATH))
 
-    def test_flow_off_disables_the_rule(self):
-        source = (
-            "def dump(path):\n"
-            "    sink = JsonlSink(path)\n"
-        )
-        assert "RL018" not in rule_ids(lint(source, flow=False))
-
 
 # --------------------------------------------------------------------- #
 # Flow-aware upgrades of the syntactic rules                             #
@@ -354,17 +344,14 @@ class TestFlowAwareUpgrades:
             "    return t()\n"
         )
         assert "RL003" in rule_ids(lint(source, path=CORE_PATH))
-        assert "RL003" not in rule_ids(lint(source, path=CORE_PATH, flow=False))
 
     def test_rl008_alias_call_is_caught_with_flow(self):
         source = "def f(x):\n    h = hash\n    return h(x)\n"
         assert "RL008" in rule_ids(lint(source, path=CORE_PATH))
-        assert "RL008" not in rule_ids(lint(source, path=CORE_PATH, flow=False))
 
     def test_rl001_dynamic_import_is_caught_with_flow(self):
         source = "def f():\n    mod = __import__('random')\n    return mod.random()\n"
         assert "RL001" in rule_ids(lint(source, path=CORE_PATH))
-        assert "RL001" not in rule_ids(lint(source, path=CORE_PATH, flow=False))
 
     def test_dead_branch_finding_is_filtered_with_flow(self):
         source = (
@@ -375,7 +362,6 @@ class TestFlowAwareUpgrades:
             "    return 0\n"
         )
         assert "RL003" not in rule_ids(lint(source, path=CORE_PATH))
-        assert "RL003" in rule_ids(lint(source, path=CORE_PATH, flow=False))
 
     def test_code_after_return_is_filtered_with_flow(self):
         source = (
@@ -384,7 +370,6 @@ class TestFlowAwareUpgrades:
             "    return hash(x)\n"
         )
         assert "RL008" not in rule_ids(lint(source, path=CORE_PATH))
-        assert "RL008" in rule_ids(lint(source, path=CORE_PATH, flow=False))
 
     def test_live_findings_survive_the_filter(self):
         source = "def f(x):\n    return hash(x)\n"
@@ -470,7 +455,7 @@ class TestFlowFindingsAreFirstClass:
     def test_select_isolates_the_rule(self, rule_id, source, flagged_line):
         from repro.lint.engine import _make_rules
 
-        findings = lint_source(source, ATTACKS_PATH, _make_rules([rule_id]), flow=True)
+        findings = lint_source(source, ATTACKS_PATH, _make_rules([rule_id]))
         assert rule_ids(findings) == [rule_id] * len(findings) and findings
 
 
@@ -541,7 +526,7 @@ class TestChangedFlag:
 
 def test_timings_cover_every_selected_rule():
     timings: dict = {}
-    lint_source("x = 1\n", ATTACKS_PATH, flow=True, timings=timings)
+    lint_source("x = 1\n", ATTACKS_PATH, timings=timings)
     from repro.lint.rules import ALL_RULES
 
     applicable = {
@@ -552,28 +537,20 @@ def test_timings_cover_every_selected_rule():
 
 
 # --------------------------------------------------------------------- #
-# Dedup: flow-aware finding vs its syntactic counterpart                 #
+# One finding per call: the alias scan and the syntactic check           #
 # --------------------------------------------------------------------- #
 
 
 class TestFlowSyntacticDedup:
-    #: ``hash`` rebound to the builtin then called: the line-based RL008
-    #: check and the alias upgrade both land on (path, line 3, RL008).
+    #: ``hash`` rebound to the builtin then called: the call is spelled
+    #: ``hash(...)``, so only the syntactic RL008 check reports it.
     SHADOWED_HASH = "def f(x):\n    hash = hash\n    return hash(x)\n"
 
-    def test_overlap_keeps_only_the_flow_finding(self):
+    def test_overlap_is_reported_once(self):
         findings = lint(self.SHADOWED_HASH, path=CORE_PATH)
-        rl008 = [f for f in findings if f.rule == "RL008"]
-        assert len(rl008) == 1
-        assert rl008[0].via_flow
-        assert rl008[0].line == 3
-        assert "alias" in rl008[0].message
-
-    def test_syntactic_finding_survives_without_flow(self):
-        findings = lint(self.SHADOWED_HASH, path=CORE_PATH, flow=False)
-        rl008 = [f for f in findings if f.rule == "RL008"]
-        assert len(rl008) == 1
-        assert not rl008[0].via_flow
+        assert [(f.rule, f.line) for f in findings if f.rule == "RL008"] == [
+            ("RL008", 3)
+        ]
 
     def test_distinct_lines_are_not_collapsed(self):
         source = (
@@ -583,13 +560,30 @@ class TestFlowSyntacticDedup:
             "    return hash(x)\n"
         )
         findings = [f for f in lint(source, path=CORE_PATH) if f.rule == "RL008"]
-        assert sorted((f.line, f.via_flow) for f in findings) == [
-            (3, True),
-            (4, False),
-        ]
+        assert sorted(f.line for f in findings) == [3, 4]
 
-    def test_via_flow_round_trips_through_json(self):
-        findings = lint(self.SHADOWED_HASH, path=CORE_PATH)
-        payload = json.loads(render_json(findings, 1))
-        flags = [entry["via_flow"] for entry in payload["findings"]]
-        assert True in flags
+
+def test_cli_and_library_report_the_same_findings(tmp_path, capsys):
+    """``python -m repro.lint`` and :func:`lint_paths` run one pass: the
+    flow rule fires and the dead-branch call is dropped on both."""
+    from repro.lint import lint_paths
+    from repro.lint.cli import main
+
+    path = tmp_path / "src" / "repro" / "attacks" / "example.py"
+    path.parent.mkdir(parents=True)
+    path.write_text(
+        UNSEEDED_RNG_INTO_TRIAL
+        + "\n"
+        "import time  # repro: noqa[RL003]\n"
+        "def never():\n"
+        "    if False:\n"
+        "        return time.time()\n"
+        "    return 0\n"
+    )
+    findings, n_files = lint_paths([path])
+    assert n_files == 1
+    assert [f.rule for f in findings] == ["RL014"]
+
+    assert main([str(path), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [Finding(**entry) for entry in payload["findings"]] == findings

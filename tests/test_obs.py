@@ -429,31 +429,3 @@ class TestOneObservationPath:
             machine.context_switch(other)
         traced = self._assert_traced_then_audited(machine, excinfo, ContextSwitch)
         assert (traced.to_ctx, traced.cross_space) == ("other", True)
-
-
-class TestLeakcheckViaTrace:
-    # A small, fast slice of the registry: one leaky, one safe victim.
-    VICTIMS = ("branch-load", "rsa-montgomery-ladder")
-
-    def test_verdicts_agree_with_polling(self):
-        from repro.leakcheck.dynamic import dynamic_leaky
-        from repro.leakcheck.victims import get_victim
-
-        for name in self.VICTIMS:
-            spec = get_victim(name).spec
-            assert dynamic_leaky(spec) == dynamic_leaky(spec, via_trace=True), name
-
-    def test_trace_read_refines_polling(self):
-        """Trace may flag more victim activity than a poll (page-jump
-        retrains mask disturbances), never less."""
-        from repro.leakcheck.dynamic import observe
-        from repro.leakcheck.victims import get_victim
-
-        for name in self.VICTIMS:
-            spec = get_victim(name).spec
-            for secret in (0, 1):
-                polled = observe(spec, secret).psc_triggered
-                traced = observe(spec, secret, via_trace=True).psc_triggered
-                for poll_hit, trace_hit in zip(polled, traced):
-                    if trace_hit:
-                        assert poll_hit, (name, secret)
